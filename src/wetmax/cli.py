@@ -192,31 +192,28 @@ def _parse_tau_grid(text):
         raise ValueError(f"cannot parse --tau-grid {text!r}") from None
 
 
-def _run_methods(sample, methods, r_value, triple, tau_grid):
-    """Fit the requested methods; returns {method: FitReport}."""
-    reports: dict[str, FitReport] = {}
-    if "quantile" in methods:
-        if tau_grid is not None:
-            params, _tau = fit_quantile_tau_scan(sample, tau_grid, r=r_value)
-        else:
-            params = fit_quantile(sample, triple, r=r_value)
-        reports["quantile"] = FitReport(
-            params, "quantile", ks_model(sample, params).ks_distance, sample.m
-        )
-    if "ls" in methods:
-        lam, gamma = fit_least_squares(sample, r_value)
-        params = ModelParams(r_value, lam, gamma)
-        reports["ls"] = FitReport(params, "ls", ks_model(sample, params).ks_distance, sample.m)
-    if "mle" in methods:
-        if r_value is not None:
-            lam, gamma = fit_least_squares(sample, r_value)
-            init = ModelParams(r_value, lam, gamma)
-        elif "quantile" in reports:
-            init = reports["quantile"].params
+def _fit_method(method, sample, r_value, triple, tau_grid, earlier):
+    """One method's FitReport; ``earlier`` maps the methods already fitted to theirs.
+
+    The MLE starts from the ``ls`` report when r is known and from the
+    quantile report when it is not, whenever that method was fitted before.
+    """
+    if method == "mle":
+        start = earlier.get("ls" if r_value is not None else "quantile")
+        if start is not None:
+            init = start.params
+        elif r_value is not None:
+            init = ModelParams(r_value, *fit_least_squares(sample, r_value))
         else:
             init = fit_quantile(sample, triple)
-        reports["mle"] = fit_mle(sample, init, fix_r=r_value is not None)
-    return reports
+        return fit_mle(sample, init, fix_r=r_value is not None)
+    if method == "ls":
+        params = ModelParams(r_value, *fit_least_squares(sample, r_value))
+    elif tau_grid is not None:
+        params, _tau = fit_quantile_tau_scan(sample, tau_grid, r=r_value)
+    else:
+        params = fit_quantile(sample, triple, r=r_value)
+    return FitReport(params, method, ks_model(sample, params).ks_distance, sample.m)
 
 
 def _select_methods(args, r_value):
@@ -235,7 +232,9 @@ def _cmd_fit(args) -> int:
     methods = _select_methods(args, r_value)
     triple = QuantileTriple(args.p1, args.p2, args.p3)
     tau_grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
-    reports = _run_methods(sample, methods, r_value, triple, tau_grid)
+    reports: dict[str, FitReport] = {}
+    for method in methods:
+        reports[method] = _fit_method(method, sample, r_value, triple, tau_grid, reports)
     doc = {
         "input": args.input,
         "m": sample.m,
@@ -278,12 +277,14 @@ def _cmd_gof_sweep(args) -> int:
             lines.append(f"{h}\t0\t" + "\t".join("" for _ in methods))
             continue
         cells = [str(h), str(sample.m)]
+        reports: dict[str, FitReport] = {}
         for method in methods:
             try:
-                report = _run_methods(sample, [method], r_value, triple, tau_grid)[method]
+                report = _fit_method(method, sample, r_value, triple, tau_grid, reports)
             except EstimationError:
                 cells.append("")
                 continue
+            reports[method] = report
             cells.append(f"{report.ks_distance:.12g}")
             if plot_dir is not None:
                 grid = np.linspace(0.0, 1.05 * float(np.max(sample.values)), 201)
@@ -295,6 +296,10 @@ def _cmd_gof_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     params = _model_params_from(args)
     rng = make_rng(args.seed)
     if args.prelimit_n is not None:

@@ -2,17 +2,24 @@
 
 A wet period is a maximal run of consecutive days whose precipitation
 exceeds the wet threshold (default 0: any positive reading is wet).  Runs
-are bounded by dry days; a day marked missing also terminates a run.  The
-per-period maxima, censored by a minimum period length h, form the sample
-the estimators in :mod:`wetmax.estimation` consume, and the period lengths
-feed the negative binomial duration fit.
+are bounded by dry days; a day marked missing also terminates a run, and so
+does a calendar gap when the series carries dates (two rows more than one
+day apart).  The per-period maxima, censored by a minimum period length h,
+form the sample the estimators in :mod:`wetmax.estimation` consume, and the
+period lengths feed the negative binomial duration fit.
+
+The periods are stored as runs over the series: start index, length and
+maximum of each run, found with array operations on the wet mask, so
+censoring at h is a mask over the run lengths.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -28,12 +35,46 @@ class EmptySampleError(ValueError):
     """Censoring left no wet period to take a maximum from."""
 
 
+def _day_numbers(dates: List[str]) -> np.ndarray:
+    """Day numbers of ISO ``YYYY-MM-DD`` dates, checked to increase strictly."""
+    try:
+        days = np.array(dates, dtype="datetime64[D]")
+    except ValueError:
+        days = None
+    if days is None or set(map(len, dates)) != {10} or np.isnat(days).any():
+        for i, date in enumerate(dates):
+            if not _is_iso_date(date):
+                raise ValueError(f"date {date!r} at index {i} is not a YYYY-MM-DD date")
+        raise ValueError("dates must be YYYY-MM-DD dates")
+    days = days.astype(np.int64)
+    backward = np.flatnonzero(np.diff(days) <= 0)
+    if backward.size:
+        i = int(backward[0]) + 1
+        raise ValueError(
+            f"dates must increase strictly: {dates[i]!r} at index {i} "
+            f"follows {dates[i - 1]!r}"
+        )
+    return days
+
+
+def _is_iso_date(text: str) -> bool:
+    try:
+        return len(text) == 10 and not np.isnat(np.datetime64(text, "D"))
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class PrecipSeries:
-    """Ordered daily precipitation record; NaN marks an explicitly missing day."""
+    """Ordered daily precipitation record; NaN marks an explicitly missing day.
+
+    ``dates``, when given, are ISO ``YYYY-MM-DD`` strings in strictly
+    increasing order; ``days`` holds them as day numbers.
+    """
 
     values: np.ndarray
     dates: Optional[List[str]] = None
+    days: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).ravel()
@@ -42,8 +83,10 @@ class PrecipSeries:
         observed = arr[~np.isnan(arr)]
         if np.any(observed < 0.0) or np.any(np.isinf(observed)):
             raise ValueError("precipitation values must be finite and >= 0")
-        if self.dates is not None and len(self.dates) != arr.size:
-            raise ValueError("dates and values must have equal length")
+        if self.dates is not None:
+            if len(self.dates) != arr.size:
+                raise ValueError("dates and values must have equal length")
+            object.__setattr__(self, "days", _day_numbers(self.dates))
         object.__setattr__(self, "values", arr)
 
     @property
@@ -53,23 +96,35 @@ class PrecipSeries:
 
 @dataclass(eq=False)
 class WetPeriods:
-    """Segmented wet spells, in series order, plus any segmentation warnings."""
+    """Segmented wet spells as runs over the series, plus any segmentation warnings.
 
-    periods: List[np.ndarray]
+    Run k covers ``values[starts[k] : starts[k] + run_lengths[k]]`` and has
+    maximum ``maxima[k]``; runs are in series order.
+    """
+
+    values: np.ndarray
+    starts: np.ndarray
+    run_lengths: np.ndarray
+    maxima: np.ndarray
     warnings: List[str] = field(default_factory=list)
 
     @property
+    def periods(self) -> List[np.ndarray]:
+        return [self.values[s:s + n].copy() for s, n in zip(self.starts, self.run_lengths)]
+
+    @property
     def lengths(self) -> List[int]:
-        return [int(len(p)) for p in self.periods]
+        return self.run_lengths.tolist()
 
     @property
     def m(self) -> int:
-        return len(self.periods)
+        return int(self.starts.size)
 
     def to_json_dict(self) -> dict:
+        values, lengths = self.values.tolist(), self.lengths
         return {
-            "periods": [[float(v) for v in p] for p in self.periods],
-            "lengths": self.lengths,
+            "periods": [values[s:s + n] for s, n in zip(self.starts.tolist(), lengths)],
+            "lengths": lengths,
         }
 
 
@@ -94,39 +149,44 @@ def segment(
     """Split the series into maximal runs of days above the wet threshold.
 
     Days at or below the threshold are dry.  A missing day always ends the
-    current run; under the default ``split`` policy a missing day falling
-    between two wet days is recorded as a warning, under ``dry`` it is
-    treated as an ordinary dry day silently.
+    current run, and so does a calendar gap between two dated rows.  Under
+    the default ``split`` policy a missing day or a calendar gap falling
+    between two wet days is recorded as a warning; under ``dry`` both are
+    treated as ordinary dry days silently.
     """
     if wet_threshold < 0.0:
         raise ValueError(f"wet threshold must be >= 0, got {wet_threshold!r}")
     if missing_policy not in ("split", "dry"):
         raise ValueError(f"missing policy must be 'split' or 'dry', got {missing_policy!r}")
     values = series.values
-    missing = np.isnan(values)
-    wet = ~missing & (values > wet_threshold)
+    wet = values > wet_threshold  # NaN compares False: missing days are never wet
 
-    periods: List[np.ndarray] = []
-    warnings: List[str] = []
-    start = None
-    for i in range(values.size + 1):
-        is_wet = i < values.size and wet[i]
-        if is_wet and start is None:
-            start = i
-        elif not is_wet and start is not None:
-            periods.append(values[start:i].copy())
-            start = None
-        if (
-            missing_policy == "split"
-            and i < values.size
-            and missing[i]
-            and i > 0
-            and wet[i - 1]
-            and i + 1 < values.size
-            and wet[i + 1]
-        ):
-            warnings.append(f"missing day at index {i} split a wet run")
-    return WetPeriods(periods=periods, warnings=warnings)
+    # joined[i]: day i continues the run of day i - 1
+    joined = np.zeros(values.size, dtype=bool)
+    joined[1:] = wet[1:] & wet[:-1]
+    gap_at = np.zeros(0, dtype=np.intp)
+    if series.days is not None:
+        gap = np.zeros(values.size, dtype=bool)
+        gap[1:] = np.diff(series.days) > 1
+        gap_at = np.flatnonzero(joined & gap)
+        joined &= ~gap
+    starts = np.flatnonzero(wet & ~joined)
+    ends = np.flatnonzero(wet & ~np.append(joined[1:], False)) + 1
+    if starts.size:
+        maxima = np.maximum.reduceat(np.where(wet, values, -np.inf), starts)
+    else:
+        maxima = np.zeros(0)
+
+    notes = []
+    if missing_policy == "split":
+        split_at = np.flatnonzero(np.isnan(values[1:-1]) & wet[:-2] & wet[2:]) + 1
+        notes += [(i, f"missing day at index {i} split a wet run") for i in split_at.tolist()]
+        for i in gap_at.tolist():
+            skipped = int(series.days[i] - series.days[i - 1]) - 1
+            notes.append((i, f"calendar gap of {skipped} day(s) between {series.dates[i - 1]} "
+                             f"and {series.dates[i]} (index {i}) split a wet run"))
+    warnings = [text for _i, text in sorted(notes)]
+    return WetPeriods(values, starts, ends - starts, maxima, warnings)
 
 
 def durations(wp: WetPeriods) -> List[int]:
@@ -137,62 +197,93 @@ def durations(wp: WetPeriods) -> List[int]:
 def build_maxima(wp: WetPeriods, censoring: CensoringSpec | int = CensoringSpec(1)) -> MaximaSample:
     """Per-period maxima of every wet period at least h days long, in order."""
     spec = censoring if isinstance(censoring, CensoringSpec) else CensoringSpec(censoring)
-    kept = [p for p in wp.periods if len(p) >= spec.h]
-    if not kept:
-        longest = max(wp.lengths, default=0)
+    kept = wp.maxima[wp.run_lengths >= spec.h]
+    if not kept.size:
+        longest = int(wp.run_lengths.max(initial=0))
         raise EmptySampleError(
             f"no wet period of length >= {spec.h} days "
             f"(longest available: {longest} days)"
         )
-    return MaximaSample(np.array([float(np.max(p)) for p in kept]))
+    return MaximaSample(kept)
 
 
-def ingest_csv(
-    path: str,
-    missing_marker: str = "NA",
-) -> PrecipSeries:
-    """Read a daily precipitation series from ``path`` ('-' for stdin).
+def _parse_cell(cell: str, line_no: int, missing_marker: str) -> float:
+    cell = cell.strip()
+    if cell == missing_marker:
+        return float("nan")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvFormatError(f"line {line_no}: cannot parse value {cell!r}") from None
+    if not np.isfinite(value):
+        raise CsvFormatError(f"line {line_no}: value {cell!r} is not finite")
+    if value < 0.0:
+        raise CsvFormatError(f"line {line_no}: negative precipitation {cell!r}")
+    return value
 
-    Accepted layouts: one value per row, or two columns ``date,value``.
-    A header row is skipped if its value cell does not parse.  Cells equal
-    to ``missing_marker`` become missing days.  Malformed or negative cells
-    raise :class:`CsvFormatError` naming the offending line.
+
+def _has_header(first: List[str], missing_marker: str) -> bool:
+    """A first row whose value cell does not parse is a header."""
+    try:
+        _parse_cell(first[-1], 1, missing_marker)
+    except CsvFormatError:
+        return True
+    return False
+
+
+def _parse_whole(text: str, missing_marker: str) -> Optional[PrecipSeries]:
+    """Parse the text in one vectorised pass; None when a row needs the line parser.
+
+    The pass takes only text that ``csv.reader`` would split the same way
+    (no quotes, no lone carriage returns, one column count throughout) and
+    whose every row is valid, so it returns exactly what
+    :func:`_parse_lines` returns, without the per-row Python work.
     """
-    if path == "-":
-        rows = list(csv.reader(sys.stdin))
+    if '"' in text or missing_marker != missing_marker.strip():
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    commas = set(map(str.count, lines, repeat(",")))
+    if not lines or len(commas) != 1 or not commas <= {0, 1}:
+        return None
+    two_columns = commas == {1}
+    body = lines[1:] if _has_header(lines[0].split(","), missing_marker) else lines
+    if not body:
+        return None
+    if two_columns:
+        cells = ",".join(body).split(",")
+        dates, column = [d.strip() for d in cells[0::2]], cells[1::2]
     else:
-        try:
-            with open(path, newline="") as handle:
-                rows = list(csv.reader(handle))
-        except OSError as exc:
-            raise CsvFormatError(f"cannot read {path!r}: {exc}") from exc
+        dates, column = None, body
+    missing = column.count(missing_marker)
+    if missing:
+        column = ["nan" if c == missing_marker else c for c in column]
+    try:
+        values = np.array(list(map(float, column)))
+    except ValueError:
+        return None
+    if np.count_nonzero(np.isnan(values)) != missing:
+        return None  # a 'nan' cell that is not the missing marker
+    try:
+        return PrecipSeries(values, dates=dates)
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str, path: str, missing_marker: str) -> PrecipSeries:
+    """Row-by-row ``csv.reader`` parse that names the first offending line."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise CsvFormatError(f"{path!r} is empty")
-
-    def parse_cell(cell: str, line_no: int) -> float:
-        cell = cell.strip()
-        if cell == missing_marker:
-            return float("nan")
-        try:
-            value = float(cell)
-        except ValueError:
-            raise CsvFormatError(f"line {line_no}: cannot parse value {cell!r}") from None
-        if not np.isfinite(value):
-            raise CsvFormatError(f"line {line_no}: value {cell!r} is not finite")
-        if value < 0.0:
-            raise CsvFormatError(f"line {line_no}: negative precipitation {cell!r}")
-        return value
-
     first = rows[0]
     if len(first) not in (1, 2):
         raise CsvFormatError(f"line 1: expected 1 or 2 columns, got {len(first)}")
     two_columns = len(first) == 2
-
-    start = 0
-    try:
-        parse_cell(first[1] if two_columns else first[0], 1)
-    except CsvFormatError:
-        start = 1  # header row
+    start = 1 if _has_header(first, missing_marker) else 0
 
     values: List[float] = []
     dates: List[str] = []
@@ -202,10 +293,41 @@ def ingest_csv(
                 f"line {offset}: expected {len(first)} column(s), got {len(row)}"
             )
         if two_columns:
-            dates.append(row[0].strip())
-            values.append(parse_cell(row[1], offset))
-        else:
-            values.append(parse_cell(row[0], offset))
+            date = row[0].strip()
+            if not _is_iso_date(date):
+                raise CsvFormatError(f"line {offset}: cannot parse date {date!r} (expected YYYY-MM-DD)")
+            if dates and np.datetime64(date) <= np.datetime64(dates[-1]):
+                raise CsvFormatError(
+                    f"line {offset}: date {date!r} does not follow {dates[-1]!r}; "
+                    "dates must increase strictly"
+                )
+            dates.append(date)
+        values.append(_parse_cell(row[-1], offset, missing_marker))
     if not values:
         raise CsvFormatError(f"{path!r} contains a header but no data rows")
     return PrecipSeries(np.array(values), dates=dates if two_columns else None)
+
+
+def ingest_csv(
+    path: str,
+    missing_marker: str = "NA",
+) -> PrecipSeries:
+    """Read a daily precipitation series from ``path`` ('-' for stdin).
+
+    Accepted layouts: one value per row, or two columns ``date,value`` with
+    ISO ``YYYY-MM-DD`` dates in strictly increasing order.  A header row is
+    skipped if its value cell does not parse.  Cells equal to
+    ``missing_marker`` become missing days.  Malformed or negative cells,
+    and duplicate or backward dates, raise :class:`CsvFormatError` naming
+    the offending line.
+    """
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, newline="") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise CsvFormatError(f"cannot read {path!r}: {exc}") from exc
+    series = _parse_whole(text, missing_marker)
+    return series if series is not None else _parse_lines(text, path, missing_marker)

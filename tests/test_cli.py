@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wetmax import cli
 from wetmax.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +44,23 @@ class TestSegmentCommand:
         out = tmp_path / "wp.json"
         assert main(["segment", "--input", write_six_rows(tmp_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["lengths"] == [2, 1]
+
+    def test_calendar_gap_splits_spell_with_warning(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("2000-01-01,1\n2000-01-05,2\n")
+        assert main(["segment", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["periods"] == [[1.0], [2.0]] and doc["lengths"] == [1, 1]
+        assert len(doc["warnings"]) == 1
+        assert "calendar gap of 3 day(s)" in doc["warnings"][0]
+
+    @pytest.mark.parametrize("second", ["2000-01-02", "2000-01-01"])
+    def test_dates_out_of_order_exit_2(self, tmp_path, capsys, second):
+        path = tmp_path / "order.csv"
+        path.write_text(f"date,value_mm\n2000-01-02,1\n{second},2\n")
+        assert main(["segment", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and "Traceback" not in err
 
 
 class TestFitCommand:
@@ -139,6 +157,14 @@ class TestGofSweepCommand:
         fit_ks = json.loads(capsys.readouterr().out)["reports"]["ls"]["ks_distance"]
         assert sweep_ks == pytest.approx(fit_ks, rel=1e-10)
 
+    def test_mle_row_matches_fit_with_tau_grid(self, capsys):
+        args = ["--input", SEED42_CSV, "--method", "all", "--tau-grid", "0.05,0.1,0.2"]
+        assert main(["gof-sweep", *args, "--h-range", "1:1"]) == 0
+        sweep_ks = float(capsys.readouterr().out.strip().split("\n")[1].split("\t")[3])
+        assert main(["fit", *args]) == 0
+        fit_ks = json.loads(capsys.readouterr().out)["reports"]["mle"]["ks_distance"]
+        assert sweep_ks == pytest.approx(fit_ks, rel=1e-10)
+
     def test_impossible_h_gives_blank_row(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("1.0\n0.0\n2.0\n3.0\n0.0\n4.0\n")
@@ -165,6 +191,22 @@ class TestGofSweepCommand:
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "5:1"]) == 2
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "abc"]) == 2
 
+    def test_one_least_squares_fit_per_threshold(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_least_squares(*args, **kwargs)
+
+        fit_least_squares = cli.fit_least_squares
+        monkeypatch.setattr(cli, "fit_least_squares", counting)
+        assert main(["fit", "--input", SEED42_CSV, "--method", "all", "--r", "from-durations"]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all",
+                     "--r", "from-durations", "--h-range", "1:15"]) == 0
+        assert len(calls) == 15
+
 
 class TestSimulateCommand:
     def test_reproducible(self, tmp_path):
@@ -182,6 +224,20 @@ class TestSimulateCommand:
         assert main(base + ["--seed", "1", "--out", str(out1)]) == 0
         assert main(base + ["--seed", "2", "--out", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", str(2**64)), ("--n", "-3")])
+    def test_out_of_range_argument_exits_2(self, capsys, flag, value):
+        args = {"--seed": "0", "--n": "4"}
+        args[flag] = value
+        argv = ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2"]
+        assert main(argv + [tok for item in args.items() for tok in item]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main(["simulate", "--r", "1", "--lambda", "1", "--gamma", "1",
+                     "--n", "2", "--seed", str(2**64 - 1)]) == 0
+        assert len(capsys.readouterr().out.split()) == 2
 
     def test_restricted_tag_domain_exits_2(self, capsys):
         assert main(
