@@ -12,9 +12,6 @@ from .distributions import (
     ModelParams,
     MomentNotDefinedError,
     NegBinParams,
-    StableIndex,
-    frechet_cdf,
-    gamma_cdf,
     gamma_pdf,
     gg_pdf,
     limit_cdf,
@@ -56,7 +53,6 @@ from .pipeline import (
 from .samplers import (
     Representation,
     RepresentationDomainError,
-    RngState,
     make_rng,
     sample_gamma,
     sample_limit,

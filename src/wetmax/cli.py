@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import ModelParams, limit_moment, limit_quantile
+from .distributions import ModelParams, _checked, limit_moment, limit_quantile
 from .estimation import (
     EstimationError,
     FitReport,
@@ -180,9 +180,7 @@ def _resolve_r(args, duration_list):
         value = float(args.r)
     except ValueError:
         raise ValueError(f"--r must be a number or 'from-durations', got {args.r!r}") from None
-    if value <= 0.0:
-        raise ValueError(f"--r must be > 0, got {value}")
-    return value, "flag"
+    return _checked("--r", value), "flag"
 
 
 def _parse_tau_grid(text):

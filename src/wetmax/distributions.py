@@ -12,8 +12,8 @@ variate.
 
 Besides the limit law (cdf, pdf, quantile, fractional moments) the module
 evaluates the component laws the limit is built from: gamma and generalized
-gamma densities, the Weibull and Frechet distribution functions, the negative
-binomial pmf, the two mixing densities of its mixed-geometric representation,
+gamma densities, the Weibull distribution function, the negative binomial
+pmf, the two mixing densities of its mixed-geometric representation,
 fractional moments of one-sided stable laws, the density of a ratio of two
 independent one-sided stable variates, and the Snedecor-Fisher density.
 
@@ -21,19 +21,38 @@ All functions are pure and deterministic, accept scalars or numpy arrays for
 the principal argument, and are accurate to near machine precision where a
 closed form exists.  Gamma-function ratios are evaluated through ``gammaln``
 so that large arguments (e.g. negative binomial counts of several hundred)
-do not overflow.
+do not overflow.  Every scalar parameter is checked by one helper, which
+rejects NaN, infinities and values outside the parameter's interval with a
+``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 
 class MomentNotDefinedError(ValueError):
     """Requested moment order is at or beyond the tail exponent."""
+
+
+def _checked(name: str, value, low: float = 0.0, high: float = math.inf, closed: str = "()") -> float:
+    """``value`` as a float, checked to be finite and inside the interval from low to high.
+
+    ``closed`` spells the interval's brackets: ``"()"`` (the default) is open
+    at both ends, ``"[)"`` includes ``low``, ``"(]"`` includes ``high``.
+    Plain float comparisons keep the check cheap, since the estimators build
+    parameter objects in their inner loops.
+    """
+    x = float(value)
+    above = x >= low if closed[0] == "[" else x > low
+    below = x <= high if closed[1] == "]" else x < high
+    if not (above and below and math.isfinite(x)):
+        raise ValueError(f"{name} must lie in {closed[0]}{low!r}, {high!r}{closed[1]}, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +75,9 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("r", "lam", "gamma"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "r", _checked("r", self.r))
+        object.__setattr__(self, "lam", _checked("lam", self.lam))
+        object.__setattr__(self, "gamma", _checked("gamma", self.gamma))
 
 
 @dataclass(frozen=True)
@@ -71,11 +88,8 @@ class GammaParams:
     lam: float
 
     def __post_init__(self):
-        for name in ("r", "lam"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "r", _checked("r", self.r))
+        object.__setattr__(self, "lam", _checked("lam", self.lam))
 
 
 @dataclass(frozen=True)
@@ -87,16 +101,11 @@ class GGParams:
     lam: float
 
     def __post_init__(self):
-        r, gamma, lam = float(self.r), float(self.gamma), float(self.lam)
-        if not np.isfinite(r) or r <= 0.0:
-            raise ValueError(f"r must be finite and > 0, got {r!r}")
-        if not np.isfinite(lam) or lam <= 0.0:
-            raise ValueError(f"lam must be finite and > 0, got {lam!r}")
-        if not np.isfinite(gamma) or gamma == 0.0:
-            raise ValueError(f"gamma must be finite and nonzero, got {gamma!r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _checked("r", self.r))
+        object.__setattr__(self, "lam", _checked("lam", self.lam))
+        gamma = float(self.gamma)
+        _checked("|gamma|", abs(gamma))  # either sign, not zero
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,8 @@ class NegBinParams:
     p: float
 
     def __post_init__(self):
-        r, p = float(self.r), float(self.p)
-        if not np.isfinite(r) or r <= 0.0:
-            raise ValueError(f"r must be finite and > 0, got {r!r}")
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"p must lie in (0, 1), got {p!r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", _checked("r", self.r))
+        object.__setattr__(self, "p", _checked("p", self.p, 0.0, 1.0))
 
     @property
     def mu(self) -> float:
@@ -123,28 +127,6 @@ class NegBinParams:
     @property
     def mean(self) -> float:
         return self.r * (1.0 - self.p) / self.p
-
-
-@dataclass(frozen=True)
-class StableIndex:
-    """Characteristic exponent of a one-sided strictly stable law.
-
-    Only the totally skewed laws on the nonnegative half line are supported
-    (shape parameter theta fixed to 1), so alpha must lie in (0, 1]; alpha = 1
-    is the law degenerate at 1.
-    """
-
-    alpha: float
-    theta: float = 1.0
-
-    def __post_init__(self):
-        alpha = float(self.alpha)
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        if float(self.theta) != 1.0:
-            raise ValueError("only the one-sided case theta = 1 is supported")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +185,9 @@ def limit_pdf(x, params: ModelParams):
 def limit_quantile(eps, params: ModelParams):
     """Quantile of order eps in (0, 1): (eps^(1/r) / (lam (1 - eps^(1/r))))^(1/gamma)."""
     arr = np.asarray(eps, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"eps must lie strictly in (0, 1), got {eps!r}")
+    if arr.size:  # the extremes stand for the array; NaN propagates into both
+        _checked("eps", arr.min(), 0.0, 1.0)
+        _checked("eps", arr.max(), 0.0, 1.0)
     log_t = np.log(arr) / params.r          # log eps^(1/r)
     one_minus_t = -np.expm1(log_t)          # 1 - eps^(1/r), accurate near 1
     out = np.exp((log_t - np.log(params.lam) - np.log(one_minus_t)) / params.gamma)
@@ -218,9 +201,7 @@ def limit_moment(delta: float, params: ModelParams) -> float:
     (lam^(delta/gamma) * Gamma(r)).  Orders delta >= gamma do not exist
     because the density decays like x^(-1-gamma).
     """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta!r}")
+    delta = _checked("delta", delta)
     if delta >= params.gamma:
         raise MomentNotDefinedError(
             f"moment of order {delta} does not exist: requires delta < gamma = {params.gamma}"
@@ -246,12 +227,6 @@ def gamma_pdf(x, params: GammaParams):
     return _maybe_scalar(out, x)
 
 
-def gamma_cdf(x, params: GammaParams):
-    """Gamma distribution function (regularized lower incomplete gamma)."""
-    arr = _as_float_array(x, "x", low=0.0)
-    return _maybe_scalar(gammainc(params.r, params.lam * arr), x)
-
-
 def gg_pdf(x, params: GGParams):
     """Generalized gamma density |gamma| lam^r x^(gamma r - 1) e^(-lam x^gamma) / Gamma(r)."""
     arr = _as_float_array(x, "x", low=0.0, strict=True)
@@ -268,20 +243,9 @@ def gg_pdf(x, params: GGParams):
 
 def weibull_cdf(x, gamma: float):
     """Weibull distribution function 1 - exp(-x^gamma) for x >= 0."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma!r}")
+    gamma = _checked("gamma", gamma)
     arr = _as_float_array(x, "x", low=0.0)
     return _maybe_scalar(-np.expm1(-(arr ** gamma)), x)
-
-
-def frechet_cdf(x, gamma: float):
-    """Frechet (type II extreme value) distribution function exp(-x^-gamma), x >= 0."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma!r}")
-    arr = _as_float_array(x, "x", low=0.0)
-    with np.errstate(divide="ignore"):
-        out = np.exp(-(arr ** -gamma))
-    return _maybe_scalar(out, x)
 
 
 def negbin_pmf(k, params: NegBinParams):
@@ -311,10 +275,8 @@ def negbin_odds_mixing_density(z, r: float, mu: float):
 
     where mu = p/(1-p).  The singularity at z = mu is integrable.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie strictly in (0, 1), got {r!r}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu!r}")
+    r = _checked("r", r, 0.0, 1.0)
+    mu = _checked("mu", mu)
     arr = np.asarray(z, dtype=float)
     log_const = r * np.log(mu) - gammaln(1.0 - r) - gammaln(r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,10 +295,8 @@ def negbin_prob_mixing_density(y, r: float, p: float):
 
         p^r / (Gamma(1-r) Gamma(r)) * (1 - y)^(r-1) / (y (y - p)^r).
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie strictly in (0, 1), got {r!r}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    r = _checked("r", r, 0.0, 1.0)
+    p = _checked("p", p, 0.0, 1.0)
     arr = np.asarray(y, dtype=float)
     log_const = r * np.log(p) - gammaln(1.0 - r) - gammaln(r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -363,8 +323,7 @@ def stable_ratio_density(x, alpha: float):
     The law is self-reciprocal: the ratio and its inverse coincide in
     distribution, equivalently v(x) = v(1/x) / x^2.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    alpha = _checked("alpha", alpha, 0.0, 1.0)
     arr = _as_float_array(x, "x", low=0.0, strict=True)
     xa = arr ** alpha
     out = np.sin(np.pi * alpha) * arr ** (alpha - 1.0) / (
@@ -380,12 +339,8 @@ def stable_moment(alpha: float, beta: float) -> float:
     (normalized so that its Laplace transform is exp(-s^alpha)); the moment
     exists for 0 < beta < alpha, and equals 1 identically when alpha = 1.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if not (0.0 < beta < alpha):
-        raise ValueError(f"beta must lie in (0, alpha), got beta={beta!r} alpha={alpha!r}")
+    alpha = _checked("alpha", alpha, 0.0, 1.0, "(]")
+    beta = _checked("beta", beta, 0.0, alpha)
     return float(np.exp(gammaln(1.0 - beta / alpha) - gammaln(1.0 - beta)))
 
 
@@ -397,8 +352,7 @@ def snedecor_fisher_density(x, r: float):
     The wet-spell maximum law is recovered as the law of (r Q / lam)^(1/gamma)
     for Q with this density.
     """
-    if r <= 0.0:
-        raise ValueError(f"r must be > 0, got {r!r}")
+    r = _checked("r", r)
     arr = _as_float_array(x, "x", low=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(

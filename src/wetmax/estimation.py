@@ -4,9 +4,12 @@ Three estimators are provided for the triple (r, lam, gamma) given a sample
 of per-spell maxima:
 
 * :func:`fit_quantile` - matches three empirical quantiles to the explicit
-  quantile formula of the law.  The shape enters through s = 1/r, found as
-  the root of a scalar equation; lam and gamma then follow in closed form.
-  With r known the root solve is skipped.
+  quantile formula of the law.  The shape enters through s = 1/r, the root
+  of a scalar equation found by ``brentq`` on s in [1e-3, 1e3]; the
+  equation's closed-form limits at 0 and infinity tell a sample that no
+  r > 0 matches from one whose root lies outside that bracket.  lam and
+  gamma then follow in closed form.  With r known the root solve is
+  skipped.
 * :func:`fit_least_squares` - with r known, regresses the log order
   statistics on their plotting positions; lam and gamma come out of the
   normal equations in closed form.
@@ -16,6 +19,9 @@ of per-spell maxima:
 :func:`fit_negbin` fits the negative binomial law to wet-period durations
 (shifted down by one day so the support starts at zero) and is how the shape
 r is usually fixed before the two-parameter fits.
+
+Scalar arguments (r, the quantile levels, tau) are checked to be finite and
+inside their intervals, and raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln
 
 from . import gof
-from .distributions import ModelParams, NegBinParams, limit_log_pdf
+from .distributions import ModelParams, NegBinParams, _checked, limit_log_pdf
 
 
 class EstimationError(RuntimeError):
@@ -65,9 +71,9 @@ class QuantileTriple:
     p3: float = 0.75
 
     def __post_init__(self):
-        p1, p2, p3 = float(self.p1), float(self.p2), float(self.p3)
-        if not (0.0 < p1 < p2 < p3 < 1.0):
-            raise ValueError(f"need 0 < p1 < p2 < p3 < 1, got {(p1, p2, p3)!r}")
+        p1 = _checked("p1", self.p1, 0.0, 1.0)
+        p2 = _checked("p2", self.p2, p1, 1.0)
+        p3 = _checked("p3", self.p3, p2, 1.0)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "p3", p3)
@@ -75,8 +81,7 @@ class QuantileTriple:
     @classmethod
     def from_tau(cls, tau: float) -> "QuantileTriple":
         """Symmetric triple (tau, 1/2, 1-tau) for tau in (0, 1/4)."""
-        if not (0.0 < tau < 0.25):
-            raise ValueError(f"tau must lie in (0, 0.25), got {tau!r}")
+        tau = _checked("tau", tau, 0.0, 0.25)
         return cls(tau, 0.5, 1.0 - tau)
 
 
@@ -118,9 +123,14 @@ def _log_one_minus_pow(p: float, s) -> np.ndarray:
 def _solve_shape_equation(x1, x2, x3, p1, p2, p3) -> float:
     """Root s = 1/r of the scalar quantile-matching equation.
 
-    A sign change is located on a log-spaced grid over [1e-3, 1e3] and
-    refined by bisection; scanning the whole bracket guards against spurious
-    roots next to zero.
+    The equation f(s) = c s - (b(s) log(x1/x2) - a(s) log(x1/x3)) is solved
+    by ``brentq`` on the bracket s in [1e-3, 1e3].  When f has one sign at
+    both ends, its closed-form limits tell why: f(0+) = -(b0 log(x1/x2) -
+    a0 log(x1/x3)), with a0 = log(log p2 / log p1) and
+    b0 = log(log p3 / log p1), and f(s) ~ c s as s -> inf.  Limits of one
+    sign mean that no r > 0 matches the three order statistics; limits of
+    opposite signs put the root outside the bracket.  Either way the fit
+    raises :class:`EstimationError`.
     """
     log_x12 = np.log(x1 / x2)
     log_x13 = np.log(x1 / x3)
@@ -131,36 +141,21 @@ def _solve_shape_equation(x1, x2, x3, p1, p2, p3) -> float:
         a = _log_one_minus_pow(p2, s) - _log_one_minus_pow(p1, s)
         return c * s - (b * log_x12 - a * log_x13)
 
-    grid = np.logspace(-3.0, 3.0, 601)
-    values = equation(grid)
-    finite = np.isfinite(values)
-    sign_change = None
-    for i in range(len(grid) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        if values[i] == 0.0:
-            return float(grid[i])
-        if values[i] * values[i + 1] < 0.0:
-            sign_change = i
-            break
-    if sign_change is None:
+    lo, hi = 1e-3, 1e3
+    if equation(lo) * equation(hi) > 0.0:
+        a0 = np.log(np.log(p2) / np.log(p1))
+        b0 = np.log(np.log(p3) / np.log(p1))
+        at_zero = -(b0 * log_x12 - a0 * log_x13)
+        if at_zero * c > 0.0:
+            raise EstimationError(
+                "quantile fit failed: no r > 0 matches the order statistics "
+                f"{(x1, x2, x3)!r}; the shape equation has one sign as s -> 0 and as s -> inf"
+            )
         raise EstimationError(
-            "quantile fit failed: no sign change of the shape equation on s in [1e-3, 1e3]"
+            "quantile fit failed: the root of the shape equation lies outside "
+            f"s = 1/r in [{lo!r}, {hi!r}]"
         )
-    lo, hi = float(grid[sign_change]), float(grid[sign_change + 1])
-    f_lo = float(values[sign_change])
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = float(equation(mid))
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return float(brentq(equation, lo, hi, xtol=1e-15))
 
 
 def _order_statistics(sample: MaximaSample, triple: QuantileTriple):
@@ -201,9 +196,7 @@ def fit_quantile(
     if r is None:
         s = _solve_shape_equation(x1, x2, x3, p1, p2, p3)
     else:
-        if r <= 0.0:
-            raise ValueError(f"r must be > 0, got {r!r}")
-        s = 1.0 / float(r)
+        s = 1.0 / _checked("r", r)
     gamma = (
         s * (np.log(p1) - np.log(p3))
         + _log_one_minus_pow(p3, s)
@@ -267,15 +260,14 @@ def fit_least_squares(sample: MaximaSample, r: float):
     intercept log lam; the top order statistic is excluded because its
     target is infinite.  Returns ``(lam, gamma)``.
     """
-    if r <= 0.0:
-        raise ValueError(f"r must be > 0, got {r!r}")
+    r = _checked("r", r)
     m = sample.m
     if m < 3:
         raise EstimationError(f"least squares needs m >= 3, got m={m}")
     logx = np.log(sample.sorted_values[: m - 1])
     if np.all(logx == logx[0]):
         raise EstimationError("least squares failed: all regressor values equal")
-    c = _regression_targets(m, float(r))
+    c = _regression_targets(m, r)
     logx_c = logx - logx.mean()
     gamma = float(np.dot(c - c.mean(), logx_c) / np.dot(logx_c, logx_c))
     lam = float(np.exp(c.mean() - gamma * logx.mean()))

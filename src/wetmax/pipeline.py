@@ -24,6 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .distributions import _checked
 from .estimation import MaximaSample
 
 
@@ -154,8 +155,7 @@ def segment(
     between two wet days is recorded as a warning; under ``dry`` both are
     treated as ordinary dry days silently.
     """
-    if wet_threshold < 0.0:
-        raise ValueError(f"wet threshold must be >= 0, got {wet_threshold!r}")
+    wet_threshold = _checked("wet_threshold", wet_threshold, closed="[)")
     if missing_policy not in ("split", "dry"):
         raise ValueError(f"missing policy must be 'split' or 'dry', got {missing_policy!r}")
     values = series.values
@@ -223,10 +223,17 @@ def _parse_cell(cell: str, line_no: int, missing_marker: str) -> float:
 
 
 def _has_header(first: List[str], missing_marker: str) -> bool:
-    """A first row whose value cell does not parse is a header."""
+    """A first row whose value cell is neither a number nor the missing marker is a header.
+
+    A number that is not a valid reading (negative, infinite, NaN) is data,
+    and the row parse names it as an error on line 1.
+    """
+    cell = first[-1].strip()
+    if cell == missing_marker:
+        return False
     try:
-        _parse_cell(first[-1], 1, missing_marker)
-    except CsvFormatError:
+        float(cell)
+    except ValueError:
         return True
     return False
 
@@ -316,7 +323,7 @@ def ingest_csv(
 
     Accepted layouts: one value per row, or two columns ``date,value`` with
     ISO ``YYYY-MM-DD`` dates in strictly increasing order.  A header row is
-    skipped if its value cell does not parse.  Cells equal to
+    skipped if its value cell is not a number at all.  Cells equal to
     ``missing_marker`` become missing days.  Malformed or negative cells,
     and duplicate or backward dates, raise :class:`CsvFormatError` naming
     the offending line.

@@ -14,12 +14,11 @@ shape r <= 1 and tail exponent gamma <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .distributions import GammaParams, ModelParams, NegBinParams, StableIndex
+from .distributions import GammaParams, ModelParams, NegBinParams, _checked, _maybe_scalar
 
 
 class RepresentationDomainError(ValueError):
@@ -29,27 +28,6 @@ class RepresentationDomainError(ValueError):
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct ``stream`` values give disjoint substreams."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(stream))
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Seed plus substream index; the same state always yields the same stream."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream)
-
-
-def _gen(rng) -> np.random.Generator:
-    if isinstance(rng, RngState):
-        return rng.generator()
-    return rng
-
-
-def _maybe_scalar_like(out, size):
-    return float(out) if size is None else out
 
 
 class Representation(str, Enum):
@@ -95,7 +73,6 @@ def sample_gamma(params: GammaParams, rng, size=None):
     independent uniform power factor U^(1/r), which stays accurate where
     rejection samplers degrade.
     """
-    rng = _gen(rng)
     if params.r < 1.0:
         g = rng.standard_gamma(params.r + 1.0, size=size)
         g = g * (1.0 - rng.random(size)) ** (1.0 / params.r)
@@ -106,23 +83,18 @@ def sample_gamma(params: GammaParams, rng, size=None):
 
 def sample_weibull(gamma: float, rng, size=None):
     """Weibull variates with d.f. 1 - exp(-x^gamma), drawn as E^(1/gamma) by inversion."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma!r}")
-    rng = _gen(rng)
+    gamma = _checked("gamma", gamma)
     e = -np.log1p(-rng.random(size))
     return e ** (1.0 / gamma)
 
 
-def sample_stable_onesided(index, rng, size=None):
+def sample_stable_onesided(alpha: float, rng, size=None):
     """One-sided strictly stable variates, Laplace transform exp(-s^alpha).
 
     Uses the exact uniform-exponential (Kanter) transform for alpha < 1;
     alpha = 1 is the law degenerate at 1.
     """
-    if not isinstance(index, StableIndex):
-        index = StableIndex(float(index))
-    rng = _gen(rng)
-    alpha = index.alpha
+    alpha = _checked("alpha", alpha, 0.0, 1.0, "(]")
     if alpha == 1.0:
         return 1.0 if size is None else np.ones(size)
     u = np.pi * rng.random(size)
@@ -143,9 +115,6 @@ def sample_stable_ratio(alpha: float, rng, size=None):
     Self-reciprocal in distribution.  alpha = 1 is accepted and degenerates
     to the constant 1, matching the degenerate stable factors it divides.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    rng = _gen(rng)
     s1 = sample_stable_onesided(alpha, rng, size)
     s2 = sample_stable_onesided(alpha, rng, size)
     return s1 / s2
@@ -158,13 +127,10 @@ def sample_negbin_odds(r: float, mu: float, rng, size=None):
     r = 1 is the plain geometric case where the mixing law collapses to the
     point mass at mu.
     """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"r must lie in (0, 1], got {r!r}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu!r}")
-    rng = _gen(rng)
+    r = _checked("r", r, 0.0, 1.0, "(]")
+    mu = _checked("mu", mu)
     if r == 1.0:
-        return float(mu) if size is None else np.full(size, float(mu))
+        return mu if size is None else np.full(size, mu)
     g1 = sample_gamma(GammaParams(r, 1.0), rng, size)
     g2 = sample_gamma(GammaParams(1.0 - r, 1.0), rng, size)
     return mu * (g1 + g2) / g1
@@ -172,7 +138,6 @@ def sample_negbin_odds(r: float, mu: float, rng, size=None):
 
 def sample_negbin(params: NegBinParams, rng, size=None):
     """Negative binomial counts, drawn as Poisson with a gamma(r, p/(1-p)) random rate."""
-    rng = _gen(rng)
     rate = sample_gamma(GammaParams(params.r, params.mu), rng, size)
     return rng.poisson(rate)
 
@@ -190,7 +155,6 @@ def sample_limit(params: ModelParams, tag: Representation, rng, size=None):
             f"representation {tag.value!r} requires r <= 1 and gamma <= 1, "
             f"got r={params.r}, gamma={params.gamma}"
         )
-    rng = _gen(rng)
     r, lam, gamma = params.r, params.lam, params.gamma
     inv_g = 1.0 / gamma
 
@@ -252,11 +216,8 @@ def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: f
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    if pareto_gamma <= 0.0:
-        raise ValueError(f"pareto_gamma must be > 0, got {pareto_gamma!r}")
-    rng = _gen(rng)
+    q = _checked("q", q, 0.0, 1.0)
+    pareto_gamma = _checked("pareto_gamma", pareto_gamma)
     p_n = min(q, params.lam / n)
     counts = sample_negbin(NegBinParams(params.r, p_n), rng, size)
     u = rng.random(size)
@@ -265,4 +226,4 @@ def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: f
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = -np.expm1(np.log(u) / counts_arr)  # 1 - U^(1/N), exact for large N
         out = np.where(counts_arr > 0.0, tail ** (-1.0 / pareto_gamma) / scale, 0.0)
-    return _maybe_scalar_like(out, size)
+    return _maybe_scalar(out, u)

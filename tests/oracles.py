@@ -3,7 +3,8 @@
 Everything here is deliberately computed through a different route than the
 library code it checks: quadrature instead of closed forms, bisection
 instead of algebraic inversion, math.gamma instead of gammaln, and the
-closed Levy distribution function for the alpha = 1/2 stable law.
+closed Levy distribution function for the alpha = 1/2 stable law.  Where a
+library routine replaced a loop, the loop is kept here as its reference.
 """
 
 import math
@@ -144,3 +145,53 @@ def segment_loop(values, wet_threshold=0.0, missing_policy="split", dates=None):
         ):
             warnings.append(f"missing day at index {i} split a wet run")
     return periods, warnings
+
+
+def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
+    """Root s = 1/r of the quantile fit's shape equation, by grid scan and bisection.
+
+    The reference for :func:`wetmax.estimation._solve_shape_equation`: the
+    first sign change on a 601-point log grid over [1e-3, 1e3], refined by
+    bisection to an interval of 1e-12.  Raises ValueError where the grid
+    shows no sign change.
+    """
+    def log_one_minus_pow(p, s):
+        return np.log(-np.expm1(s * np.log(p)))
+
+    log_x12 = np.log(x1 / x2)
+    log_x13 = np.log(x1 / x3)
+    c = log_x13 * np.log(p1 / p2) - log_x12 * np.log(p1 / p3)
+
+    def equation(s):
+        b = log_one_minus_pow(p3, s) - log_one_minus_pow(p1, s)
+        a = log_one_minus_pow(p2, s) - log_one_minus_pow(p1, s)
+        return c * s - (b * log_x12 - a * log_x13)
+
+    grid = np.logspace(-3.0, 3.0, 601)
+    values = equation(grid)
+    finite = np.isfinite(values)
+    sign_change = None
+    for i in range(len(grid) - 1):
+        if not (finite[i] and finite[i + 1]):
+            continue
+        if values[i] == 0.0:
+            return float(grid[i])
+        if values[i] * values[i + 1] < 0.0:
+            sign_change = i
+            break
+    if sign_change is None:
+        raise ValueError("no sign change of the shape equation on s in [1e-3, 1e3]")
+    lo, hi = float(grid[sign_change]), float(grid[sign_change + 1])
+    f_lo = float(values[sign_change])
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = float(equation(mid))
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)

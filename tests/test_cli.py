@@ -298,3 +298,40 @@ class TestScalarCommands:
         assert main(
             ["moment", "--delta", "2.0", "--r", "1", "--lambda", "1", "--gamma", "1"]
         ) == 2
+
+
+VALID_ARGV = {
+    "segment": ["segment", "--input", SEED42_CSV, "--wet-threshold", "0"],
+    "fit": ["fit", "--input", SEED42_CSV, "--method", "all", "--r", "0.85",
+            "--wet-threshold", "0"],
+    "gof-sweep": ["gof-sweep", "--input", SEED42_CSV, "--method", "ls", "--r", "0.85",
+                  "--h-range", "1:1", "--wet-threshold", "0"],
+    "simulate": ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2", "--n", "3",
+                 "--prelimit-n", "10", "--q", "0.5", "--pareto-gamma", "1.2"],
+    "quantile": ["quantile", "--eps", "0.5", "--r", "1", "--lambda", "1", "--gamma", "1"],
+    "moment": ["moment", "--delta", "0.5", "--r", "1", "--lambda", "1", "--gamma", "1"],
+}
+FLOAT_FLAGS = ("--eps", "--delta", "--r", "--lambda", "--gamma", "--wet-threshold", "--q",
+               "--pareto-gamma")
+BAD_FLOAT_CASES = [
+    (command, flag, value)
+    for command, argv in VALID_ARGV.items()
+    for flag in FLOAT_FLAGS if flag in argv
+    for value in ("nan", "inf", "0", "-1")
+    if not (flag == "--wet-threshold" and value == "0")  # a zero threshold is the default
+]
+
+
+class TestBadArgumentValues:
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_valid_arguments_succeed(self, command, capsys):
+        assert main(VALID_ARGV[command]) == 0
+
+    @pytest.mark.parametrize("command,flag,value", BAD_FLOAT_CASES)
+    def test_bad_float_exits_2_with_one_error_line(self, command, flag, value, capsys):
+        argv = list(VALID_ARGV[command])
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -7,19 +7,30 @@ from scipy.integrate import quad
 from wetmax import (
     GammaParams,
     GGParams,
+    MaximaSample,
     ModelParams,
     MomentNotDefinedError,
     NegBinParams,
-    StableIndex,
+    PrecipSeries,
+    QuantileTriple,
+    fit_least_squares,
+    fit_quantile,
     gamma_pdf,
     gg_pdf,
     limit_cdf,
     limit_moment,
     limit_pdf,
     limit_quantile,
+    make_rng,
     negbin_odds_mixing_density,
     negbin_pmf,
     negbin_prob_mixing_density,
+    sample_negbin_odds,
+    sample_stable_onesided,
+    sample_stable_ratio,
+    sample_weibull,
+    segment,
+    simulate_prelimit_max,
     snedecor_fisher_density,
     stable_moment,
     stable_ratio_density,
@@ -66,14 +77,57 @@ class TestParamContainers:
         with pytest.raises(ValueError):
             NegBinParams(-1.0, 0.5)
 
-    def test_stable_index(self):
-        assert StableIndex(1.0).alpha == 1.0
-        with pytest.raises(ValueError):
-            StableIndex(1.5)
-        with pytest.raises(ValueError):
-            StableIndex(0.0)
-        with pytest.raises(ValueError):
-            StableIndex(0.5, theta=0.0)
+
+_P = ModelParams(0.85, 1.5, 1.2)
+_SAMPLE = MaximaSample(np.arange(1.0, 101.0))
+
+# every scalar parameter check in the library: a call taking the checked
+# value, and one finite value just outside its interval
+SCALAR_CHECKS = {
+    "ModelParams.r": (lambda v: ModelParams(v, 1.0, 1.0), 0.0),
+    "ModelParams.lam": (lambda v: ModelParams(1.0, v, 1.0), -2.0),
+    "ModelParams.gamma": (lambda v: ModelParams(1.0, 1.0, v), 0.0),
+    "GammaParams.r": (lambda v: GammaParams(v, 1.0), 0.0),
+    "GammaParams.lam": (lambda v: GammaParams(1.0, v), 0.0),
+    "GGParams.r": (lambda v: GGParams(v, 1.0, 1.0), 0.0),
+    "GGParams.gamma": (lambda v: GGParams(1.0, v, 1.0), 0.0),
+    "GGParams.lam": (lambda v: GGParams(1.0, 1.0, v), 0.0),
+    "NegBinParams.r": (lambda v: NegBinParams(v, 0.5), -1.0),
+    "NegBinParams.p": (lambda v: NegBinParams(1.0, v), 1.0),
+    "limit_quantile.eps": (lambda v: limit_quantile(v, _P), 1.0),
+    "limit_quantile.eps array": (lambda v: limit_quantile(np.array([0.5, v]), _P), 0.0),
+    "limit_moment.delta": (lambda v: limit_moment(v, _P), 0.0),
+    "weibull_cdf.gamma": (lambda v: weibull_cdf(1.0, v), 0.0),
+    "negbin_odds_mixing_density.r": (lambda v: negbin_odds_mixing_density(2.0, v, 1.0), 1.0),
+    "negbin_odds_mixing_density.mu": (lambda v: negbin_odds_mixing_density(2.0, 0.5, v), 0.0),
+    "negbin_prob_mixing_density.r": (lambda v: negbin_prob_mixing_density(0.5, v, 0.3), 0.0),
+    "negbin_prob_mixing_density.p": (lambda v: negbin_prob_mixing_density(0.5, 0.5, v), 1.0),
+    "stable_ratio_density.alpha": (lambda v: stable_ratio_density(1.0, v), 1.0),
+    "stable_moment.alpha": (lambda v: stable_moment(v, 0.1), 1.5),
+    "stable_moment.beta": (lambda v: stable_moment(0.5, v), 0.5),
+    "snedecor_fisher_density.r": (lambda v: snedecor_fisher_density(1.0, v), -1.0),
+    "sample_weibull.gamma": (lambda v: sample_weibull(v, make_rng(0)), 0.0),
+    "sample_stable_onesided.alpha": (lambda v: sample_stable_onesided(v, make_rng(0)), 1.5),
+    "sample_stable_ratio.alpha": (lambda v: sample_stable_ratio(v, make_rng(0)), 0.0),
+    "sample_negbin_odds.r": (lambda v: sample_negbin_odds(v, 1.0, make_rng(0)), 1.2),
+    "sample_negbin_odds.mu": (lambda v: sample_negbin_odds(0.5, v, make_rng(0)), 0.0),
+    "simulate_prelimit_max.q": (lambda v: simulate_prelimit_max(10, _P, v, 1.0, make_rng(0)), 1.0),
+    "simulate_prelimit_max.pareto_gamma": (
+        lambda v: simulate_prelimit_max(10, _P, 0.5, v, make_rng(0)), 0.0),
+    "fit_quantile.r": (lambda v: fit_quantile(_SAMPLE, r=v), 0.0),
+    "fit_least_squares.r": (lambda v: fit_least_squares(_SAMPLE, v), -1.0),
+    "QuantileTriple.p2": (lambda v: QuantileTriple(0.25, v, 0.75), 0.25),
+    "QuantileTriple.from_tau": (lambda v: QuantileTriple.from_tau(v), 0.25),
+    "segment.wet_threshold": (lambda v: segment(PrecipSeries(np.ones(3)), wet_threshold=v), -0.5),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "edge"])
+@pytest.mark.parametrize("check", sorted(SCALAR_CHECKS))
+def test_scalar_parameter_rejects_non_finite_and_out_of_range(check, bad):
+    call, edge = SCALAR_CHECKS[check]
+    with pytest.raises(ValueError, match=r"^\S+ must lie in [(\[]"):
+        call(edge if bad == "edge" else float(bad))
 
 
 class TestLimitCdf:

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import shape_root_scan
 from wetmax import (
     EstimationError,
     MaximaSample,
@@ -19,7 +24,7 @@ from wetmax import (
     sample_limit,
     sample_negbin,
 )
-from wetmax.estimation import _regression_targets
+from wetmax.estimation import _regression_targets, _solve_shape_equation
 
 
 def exact_quantile_sample(params: ModelParams, m: int) -> MaximaSample:
@@ -126,6 +131,42 @@ class TestFitQuantile:
             ):
                 hits += 1
         assert hits >= 18
+
+
+@st.composite
+def shape_equation_cases(draw):
+    """(x1, x2, x3, p1, p2, p3): exact quantiles of a random law, each jittered."""
+    params = ModelParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.2, 5.0)),
+                         draw(st.floats(0.2, 5.0)))
+    p1 = draw(st.floats(0.01, 0.45))
+    p3 = draw(st.floats(0.55, 0.99))
+    p2 = draw(st.floats(p1 + 0.02, p3 - 0.02))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+    xs = [limit_quantile(p, params) * math.exp(e) for p, e in zip((p1, p2, p3), jitter)]
+    assume(xs[0] < xs[1] < xs[2])
+    return (*xs, p1, p2, p3)
+
+
+class TestShapeEquation:
+    @settings(max_examples=300, deadline=None)
+    @given(shape_equation_cases())
+    def test_brentq_matches_grid_scan(self, case):
+        try:
+            expected = shape_root_scan(*case)
+        except ValueError:
+            with pytest.raises(EstimationError, match="quantile fit failed"):
+                _solve_shape_equation(*case)
+            return
+        assert _solve_shape_equation(*case) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_failure_names_the_reason(self):
+        # a median this close to the upper quartile is beyond every r > 0
+        with pytest.raises(EstimationError, match="no r > 0 matches"):
+            _solve_shape_equation(1.0, 9.0, 10.0, 0.25, 0.5, 0.75)
+        # exact quantiles of r = 5000 put the root at s = 2e-4, below the bracket
+        xs = [limit_quantile(p, ModelParams(5000.0, 1.0, 1.0)) for p in (0.25, 0.5, 0.75)]
+        with pytest.raises(EstimationError, match="lies outside"):
+            _solve_shape_equation(*xs, 0.25, 0.5, 0.75)
 
 
 class TestTauScan:
