@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -25,7 +26,8 @@ from wetmax.cli import main as cli_main
 from wetmax.distributions import ModelParams, NegBinParams
 from wetmax.samplers import Representation, make_rng, sample_limit, sample_negbin
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "tests" / "fixtures"
 
 SEED = 42
 TRUE_PARAMS = ModelParams(r=0.85, lam=1.5, gamma=1.2)
@@ -68,10 +70,13 @@ def main() -> int:
             handle.write(f"{date},{value:.17g}\n")
     print(f"wrote {csv_path} ({len(values)} rows, {N_SPELLS} wet spells)")
 
+    # the report records its input path: relative to the repository root,
+    # it is the same on every checkout
+    os.chdir(ROOT)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli_main(
-            ["fit", "--input", str(csv_path), "--method", "all", "--r", "0.85"]
+            ["fit", "--input", str(csv_path.relative_to(ROOT)), "--method", "all", "--r", "0.85"]
         )
     if code != 0:
         print(f"fit failed with exit code {code}", file=sys.stderr)

@@ -55,6 +55,19 @@ def _checked(name: str, value, low: float = 0.0, high: float = math.inf, closed:
     return x
 
 
+def _checked_count(name: str, value) -> int:
+    """``value`` as an int, checked to be a whole number >= 1.
+
+    The interval check of :func:`_checked` comes first, so NaN and
+    infinities get its message instead of the errors ``int()`` raises on them.
+    """
+    _checked(name, value, 1, closed="[)")
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{name} must be a whole number, got {float(value)!r}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -138,8 +151,10 @@ def _as_float_array(x, name, low=None, strict=False):
     if low is not None:
         bad = ~(arr > low) if strict else ~(arr >= low)
         if np.any(bad):
+            if np.isnan(arr).any():
+                raise ValueError(f"{name} must not be NaN")
             op = ">" if strict else ">="
-            raise ValueError(f"{name} must be {op} {low}, got {np.min(arr)!r}")
+            raise ValueError(f"{name} must be {op} {low}, got {float(np.min(arr))!r}")
     return arr
 
 

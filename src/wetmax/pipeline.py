@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .distributions import _checked
+from .distributions import _checked, _checked_count
 from .estimation import MaximaSample
 
 
@@ -136,10 +136,7 @@ class CensoringSpec:
     h: int = 1
 
     def __post_init__(self):
-        h = int(self.h)
-        if h < 1 or h != self.h:
-            raise ValueError(f"h must be an integer >= 1, got {self.h!r}")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _checked_count("h", self.h))
 
 
 def segment(

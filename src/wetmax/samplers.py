@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import GammaParams, ModelParams, NegBinParams, _checked, _maybe_scalar
+from .distributions import GammaParams, ModelParams, NegBinParams, _checked, _checked_count, _maybe_scalar
 
 
 class RepresentationDomainError(ValueError):
@@ -213,9 +213,7 @@ def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: f
     The maximum is drawn exactly by inversion: the largest of N uniforms is
     U^(1/N), so max{X_1..X_N} = (1 - U^(1/N))^(-1/pareto_gamma).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = _checked_count("n", n)
     q = _checked("q", q, 0.0, 1.0)
     pareto_gamma = _checked("pareto_gamma", pareto_gamma)
     p_n = min(q, params.lam / n)

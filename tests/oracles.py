@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import erfc
+
+from wetmax import ModelParams, limit_log_pdf
 
 
 def ks_critical_one_sample(n: int, level: float = 0.01) -> float:
@@ -195,3 +198,48 @@ def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
+    """Maximum likelihood by Nelder-Mead search in log-parameter space.
+
+    The reference for :func:`wetmax.fit_mle`, which takes Newton steps with
+    the exact derivatives instead: the simplex runs over (log r, log lam,
+    log gamma), or the last two with ``fix_r``, until its diameter is below
+    ``xtol``.  Returns ``(params, log likelihood, iterations)``; the result
+    is never below the start.
+    """
+    values = np.asarray(values, dtype=float)
+
+    def log_likelihood(params):
+        return float(np.sum(limit_log_pdf(values, params)))
+
+    if fix_r:
+        def unpack(u):
+            return ModelParams(init.r, float(np.exp(u[0])), float(np.exp(u[1])))
+
+        u0 = np.log([init.lam, init.gamma])
+    else:
+        def unpack(u):
+            return ModelParams(*(float(v) for v in np.exp(u)))
+
+        u0 = np.log([init.r, init.lam, init.gamma])
+
+    def negative_ll(u):
+        try:
+            ll = log_likelihood(unpack(u))
+        except (OverflowError, ValueError):
+            return np.inf
+        return -ll if np.isfinite(ll) else np.inf
+
+    result = minimize(
+        negative_ll,
+        u0,
+        method="Nelder-Mead",
+        options={"xatol": xtol, "fatol": np.inf, "maxiter": max_iter, "maxfev": 10 * max_iter},
+    )
+    params = unpack(result.x)
+    ll, ll_init = log_likelihood(params), log_likelihood(init)
+    if ll < ll_init:
+        return init, ll_init, int(result.nit)
+    return params, ll, int(result.nit)

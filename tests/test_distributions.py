@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from wetmax import (
+    CensoringSpec,
     GammaParams,
     GGParams,
     MaximaSample,
@@ -111,6 +112,7 @@ SCALAR_CHECKS = {
     "sample_stable_ratio.alpha": (lambda v: sample_stable_ratio(v, make_rng(0)), 0.0),
     "sample_negbin_odds.r": (lambda v: sample_negbin_odds(v, 1.0, make_rng(0)), 1.2),
     "sample_negbin_odds.mu": (lambda v: sample_negbin_odds(0.5, v, make_rng(0)), 0.0),
+    "simulate_prelimit_max.n": (lambda v: simulate_prelimit_max(v, _P, 0.5, 1.0, make_rng(0)), 0.0),
     "simulate_prelimit_max.q": (lambda v: simulate_prelimit_max(10, _P, v, 1.0, make_rng(0)), 1.0),
     "simulate_prelimit_max.pareto_gamma": (
         lambda v: simulate_prelimit_max(10, _P, 0.5, v, make_rng(0)), 0.0),
@@ -119,6 +121,7 @@ SCALAR_CHECKS = {
     "QuantileTriple.p2": (lambda v: QuantileTriple(0.25, v, 0.75), 0.25),
     "QuantileTriple.from_tau": (lambda v: QuantileTriple.from_tau(v), 0.25),
     "segment.wet_threshold": (lambda v: segment(PrecipSeries(np.ones(3)), wet_threshold=v), -0.5),
+    "CensoringSpec.h": (lambda v: CensoringSpec(v), 0.0),
 }
 
 
@@ -147,6 +150,17 @@ class TestLimitCdf:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             limit_cdf(-0.1, PARAM_SETS[0])
+
+    def test_array_check_names_nan_and_prints_plain_floats(self):
+        p = PARAM_SETS[0]
+        with pytest.raises(ValueError, match=r"^x must not be NaN$"):
+            limit_cdf(np.float64("nan"), p)
+        with pytest.raises(ValueError, match=r"^x must not be NaN$"):
+            limit_pdf(np.array([1.0, -2.0, np.nan]), p)
+        with pytest.raises(ValueError, match=r"^x must be >= 0\.0, got -2\.0$"):
+            limit_cdf(np.array([1.0, -2.0, -0.5]), p)
+        with pytest.raises(ValueError, match=r"^x must be > 0\.0, got 0\.0$"):
+            limit_pdf(np.float64(0.0), p)
 
     def test_monotone_and_limits(self):
         rng = np.random.default_rng(1)

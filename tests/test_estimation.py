@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import shape_root_scan
+from oracles import fit_mle_nelder_mead, shape_root_scan
 from wetmax import (
     EstimationError,
     MaximaSample,
@@ -24,7 +24,13 @@ from wetmax import (
     sample_limit,
     sample_negbin,
 )
-from wetmax.estimation import _regression_targets, _solve_shape_equation
+from wetmax.estimation import (
+    _log_likelihood,
+    _regression_targets,
+    _score_hessian,
+    _solve_shape_equation,
+    _standard_errors,
+)
 
 
 def exact_quantile_sample(params: ModelParams, m: int) -> MaximaSample:
@@ -270,7 +276,6 @@ class TestFitMle:
             sample_limit(truth, Representation.DIRECT, make_rng(105), size=5000)
         )
         report = fit_mle(sample, truth)
-        from wetmax.estimation import _log_likelihood
 
         assert report.log_likelihood >= _log_likelihood(sample.values, truth)
         assert abs(report.params.r - truth.r) / truth.r < 0.05
@@ -292,7 +297,6 @@ class TestFitMle:
         )
         seed_fit = fit_quantile(sample)
         report = fit_mle(sample, seed_fit)
-        from wetmax.estimation import _log_likelihood
 
         assert report.log_likelihood >= _log_likelihood(sample.values, seed_fit)
 
@@ -311,7 +315,92 @@ class TestFitMle:
         assert report.m == 500
         assert 0.0 <= report.ks_distance <= 1.0
         assert report.iterations >= 1
-        assert report.converged in (True, False)
+        assert report.converged is True
+        assert sorted(report.standard_errors) == ["gamma", "lambda", "r"]
+        assert all(se > 0.0 for se in report.standard_errors.values())
+        fixed = fit_mle(sample, truth, fix_r=True)
+        assert fixed.standard_errors["r"] is None
+        assert fixed.standard_errors["lambda"] > 0.0 and fixed.standard_errors["gamma"] > 0.0
+
+    @pytest.mark.parametrize("fix_r", [True, False])
+    @pytest.mark.parametrize("point", [ModelParams(0.85, 1.5, 1.2), ModelParams(2.0, 0.4, 0.7)])
+    def test_score_hessian_matches_finite_differences(self, point, fix_r):
+        values = sample_limit(
+            ModelParams(1.0, 1.0, 1.0), Representation.DIRECT, make_rng(111), size=300
+        )
+        u0 = np.log([point.r, point.lam, point.gamma])[1 if fix_r else 0:]
+
+        def ll(u):
+            theta = np.exp(u)
+            params = ModelParams(point.r, *theta) if fix_r else ModelParams(*theta)
+            return _log_likelihood(values, params)
+
+        steps = 1e-4 * np.eye(u0.size)
+        fd_score = np.array([(ll(u0 + e) - ll(u0 - e)) / 2e-4 for e in steps])
+        fd_hessian = np.array([
+            [(ll(u0 + ei + ej) - ll(u0 + ei - ej) - ll(u0 - ei + ej) + ll(u0 - ei - ej)) / 4e-8
+             for ej in steps]
+            for ei in steps
+        ])
+        score, hessian = _score_hessian(np.log(values), point.r, point.lam, point.gamma, fix_r)
+        assert score.shape == (u0.size,) and hessian.shape == (u0.size, u0.size)
+        np.testing.assert_allclose(score, fd_score, rtol=0, atol=1e-7 * values.size)
+        np.testing.assert_allclose(hessian, fd_hessian, rtol=0, atol=1e-6 * values.size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.3, 2.0),
+        lam=st.floats(0.2, 5.0),
+        gamma=st.floats(0.5, 2.5),
+        m=st.integers(300, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        fix_r=st.booleans(),
+    )
+    def test_newton_fit_is_a_stationary_maximum(self, r, lam, gamma, m, seed, fix_r):
+        # r <= 2 and m >= 300 keep away from samples whose likelihood only
+        # levels off as r grows without bound, which have no finite MLE
+        sample = MaximaSample(
+            sample_limit(ModelParams(r, lam, gamma), Representation.DIRECT, make_rng(seed), size=m)
+        )
+        if fix_r:
+            start = ModelParams(r, *fit_least_squares(sample, r))
+        else:
+            try:
+                start = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
+            except EstimationError:
+                assume(False)
+        report = fit_mle(sample, start, fix_r=fix_r)
+        p = report.params
+        score, _ = _score_hessian(np.log(sample.values), p.r, p.lam, p.gamma, fix_r)
+        assert np.max(np.abs(score)) <= 1e-6 * m
+        assert report.converged is True
+        _, ll_oracle, _ = fit_mle_nelder_mead(sample.values, start, fix_r=fix_r)
+        assert report.log_likelihood >= ll_oracle - 1e-9 * abs(ll_oracle)
+
+    def test_standard_errors_match_the_replicate_spread(self):
+        truth = ModelParams(0.85, 1.5, 1.2)
+        estimates, errors = [], []
+        for seed in range(100):
+            sample = MaximaSample(
+                sample_limit(truth, Representation.DIRECT, make_rng(112, seed), size=1000)
+            )
+            report = fit_mle(sample, truth, fix_r=True)
+            estimates.append((report.params.lam, report.params.gamma))
+            errors.append((report.standard_errors["lambda"], report.standard_errors["gamma"]))
+        spread = np.std(estimates, axis=0, ddof=1)
+        np.testing.assert_allclose(np.median(errors, axis=0), spread, rtol=0.25)
+
+    def test_standard_errors_are_the_inverse_information(self):
+        params = ModelParams(0.85, 1.5, 1.2)
+        values = sample_limit(params, Representation.DIRECT, make_rng(113), size=400)
+        _, hessian = _score_hessian(np.log(values), params.r, params.lam, params.gamma, False)
+        se = _standard_errors(params, -hessian, fix_r=False)
+        expected = np.array([0.85, 1.5, 1.2]) * np.sqrt(np.diag(np.linalg.inv(-hessian)))
+        np.testing.assert_allclose([se["r"], se["lambda"], se["gamma"]], expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("information", [[[1.0, 2.0], [2.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_standard_errors_none_without_positive_definite_information(self, information):
+        assert _standard_errors(ModelParams(1.0, 1.0, 1.0), np.array(information), fix_r=True) is None
 
 
 class TestConsistencySweep:

@@ -1,0 +1,54 @@
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_bench_line = _load("check_bench_line")
+NAMES = [entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def _line(correct=True, failed=0, metrics=None):
+    if metrics is None:
+        metrics = {name: {"value": 1.5, "unit": "s"} for name in NAMES}
+    return json.dumps({"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics})
+
+
+class TestCheckBenchLine:
+    def test_well_formed_line_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("# env {}\n" + _line() + "\n"))
+        assert check_bench_line.main() == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            ("operation failed: x", "not strict JSON"),
+            (_line().replace("1.5", "NaN", 1), "NaN"),
+            (_line().replace("1.5", "Infinity", 1), "Infinity"),
+            (_line(correct=False), "correct is False"),
+            (_line(failed=2), "failed is 2"),
+            (_line(metrics={name: {"value": 1.0} for name in NAMES[1:]}), "expected"),
+            (_line(metrics={name: {"value": None} for name in NAMES}), "no finite value"),
+            ("[1, 2]", "not a JSON object"),
+        ],
+    )
+    def test_faults_are_named(self, line, fault):
+        found = check_bench_line.faults(line, NAMES)
+        assert found and any(fault in message for message in found), found
+
+    def test_empty_input_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert check_bench_line.main() == 1
+        assert "no output" in capsys.readouterr().err
