@@ -26,8 +26,7 @@ from wetmax.cli import main as cli_main
 from wetmax.distributions import ModelParams, NegBinParams
 from wetmax.samplers import Representation, make_rng, sample_limit, sample_negbin
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURE_DIR = ROOT / "tests" / "fixtures"
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 SEED = 42
 TRUE_PARAMS = ModelParams(r=0.85, lam=1.5, gamma=1.2)
@@ -70,13 +69,12 @@ def main() -> int:
             handle.write(f"{date},{value:.17g}\n")
     print(f"wrote {csv_path} ({len(values)} rows, {N_SPELLS} wet spells)")
 
-    # the report records its input path: relative to the repository root,
-    # it is the same on every checkout
-    os.chdir(ROOT)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli_main(
-            ["fit", "--input", str(csv_path.relative_to(ROOT)), "--method", "all", "--r", "0.85"]
+            # relative to the working directory, so that the report does not
+            # record where the checkout lives
+            ["fit", "--input", os.path.relpath(csv_path), "--method", "all", "--r", "0.85"]
         )
     if code != 0:
         print(f"fit failed with exit code {code}", file=sys.stderr)

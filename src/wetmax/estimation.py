@@ -349,7 +349,6 @@ def fit_mle(
     init: ModelParams,
     fix_r: bool = False,
     max_iter: int = 2000,
-    gtol: float | None = None,
 ) -> FitReport:
     """Maximize the sample log likelihood by Newton trust-region steps.
 
@@ -357,9 +356,9 @@ def fit_mle(
     or over the last two with ``fix_r``, which keeps every iterate strictly
     positive without constraints.  It is scipy's ``trust-exact`` method fed
     with the exact score and Hessian, and it stops once the Euclidean norm of
-    the score falls below ``gtol`` (default 1e-6 m, for a sample of size m)
-    or after ``max_iter`` iterations.  ``converged`` then says whether every
-    score component at the reported parameters is at most ``gtol`` in size.
+    the score falls below gtol = 1e-6 m, for a sample of size m, or after
+    ``max_iter`` iterations.  ``converged`` then says whether every score
+    component at the reported parameters is at most gtol in size.
     The reported likelihood never falls below the likelihood at ``init``.
     ``standard_errors`` come from the observed information at the reported
     parameters, by the delta method; with ``fix_r`` the entry for r is None.
@@ -371,8 +370,7 @@ def fit_mle(
             f"invalid start: log likelihood at {init!r} is not finite"
         )
     logx = np.log(values)
-    if gtol is None:
-        gtol = 1e-6 * sample.m
+    gtol = 1e-6 * sample.m
 
     if fix_r:
         def unpack(u):
@@ -385,32 +383,36 @@ def fit_mle(
 
         u0 = np.log([init.r, init.lam, init.gamma])
 
-    def negative_ll(u):
+    @lru_cache(maxsize=1)  # scipy asks for the objective, score and Hessian at each point apart
+    def evaluate(u_bytes):
+        """Negative log likelihood, score and Hessian at u."""
+        u = np.frombuffer(u_bytes)
         try:
-            with np.errstate(over="ignore"):
-                ll = _log_likelihood(values, unpack(u))
-        except ValueError:
-            return np.inf
-        return -ll if np.isfinite(ll) else np.inf
-
-    @lru_cache(maxsize=1)  # scipy asks for the score and the Hessian at each point apart
-    def negative_derivatives(u_bytes):
-        p = unpack(np.frombuffer(u_bytes))
-        score, hessian = _score_hessian(logx, p.r, p.lam, p.gamma, fix_r)
-        return -score, -hessian
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = unpack(u)
+                ll = _log_likelihood(values, p)
+                score, hessian = _score_hessian(logx, p.r, p.lam, p.gamma, fix_r)
+        except ValueError:  # exp(u) overflows or underflows
+            ll = -np.inf
+        if not (np.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian))):
+            # trust-exact factors the Hessian at a trial point before it
+            # compares objectives: finite stand-ins let the inf reject the step
+            return np.inf, np.zeros(u.size), np.zeros((u.size, u.size))
+        return -ll, -score, -hessian
 
     result = minimize(
-        negative_ll,
+        lambda u: evaluate(u.tobytes())[0],
         u0,
         method="trust-exact",
-        jac=lambda u: negative_derivatives(u.tobytes())[0],
-        hess=lambda u: negative_derivatives(u.tobytes())[1],
+        jac=lambda u: evaluate(u.tobytes())[1],
+        hess=lambda u: evaluate(u.tobytes())[2],
         options={"gtol": gtol, "maxiter": max_iter},
     )
     u, params, ll = result.x, unpack(result.x), -float(result.fun)
     if ll < ll_init:  # a trust-region step never lowers the likelihood; belt and braces
         u, params, ll = u0, init, ll_init
-    negative_score, information = negative_derivatives(u.tobytes())
+    negative_ll, negative_score, information = evaluate(u.tobytes())
+    in_range = bool(np.isfinite(negative_ll))
     return FitReport(
         params=params,
         method="mle",
@@ -418,8 +420,8 @@ def fit_mle(
         m=sample.m,
         log_likelihood=ll,
         iterations=int(result.nit),
-        converged=bool(np.max(np.abs(negative_score)) <= gtol),
-        standard_errors=_standard_errors(params, information, fix_r),
+        converged=in_range and bool(np.max(np.abs(negative_score)) <= gtol),
+        standard_errors=_standard_errors(params, information, fix_r) if in_range else None,
     )
 
 

@@ -377,6 +377,31 @@ class TestFitMle:
         _, ll_oracle, _ = fit_mle_nelder_mead(sample.values, start, fix_r=fix_r)
         assert report.log_likelihood >= ll_oracle - 1e-9 * abs(ll_oracle)
 
+    @pytest.mark.parametrize("fix_r", [True, False])
+    def test_out_of_range_trial_step_is_rejected_not_raised(self, monkeypatch, fix_r):
+        # trust-exact evaluates the Hessian at every proposed point before it
+        # compares objectives; a step whose exp(u) overflows or underflows
+        # must come back with an infinite objective, not raise
+        from scipy.optimize._trustregion_exact import IterativeSubproblem
+
+        import wetmax.estimation as estimation
+
+        real_minimize = estimation.minimize
+
+        def minimize_with_far_trials(fun, x0, jac, hess, **kwargs):
+            for far in (800.0, -800.0):
+                trial = IterativeSubproblem(x0 + far, fun, jac, hess)
+                assert trial.fun == np.inf
+            return real_minimize(fun, x0, jac=jac, hess=hess, **kwargs)
+
+        truth = ModelParams(0.85, 1.5, 1.2)
+        sample = MaximaSample(
+            sample_limit(truth, Representation.DIRECT, make_rng(114), size=400)
+        )
+        expected = fit_mle(sample, truth, fix_r=fix_r)
+        monkeypatch.setattr(estimation, "minimize", minimize_with_far_trials)
+        assert fit_mle(sample, truth, fix_r=fix_r) == expected
+
     def test_standard_errors_match_the_replicate_spread(self):
         truth = ModelParams(0.85, 1.5, 1.2)
         estimates, errors = [], []
