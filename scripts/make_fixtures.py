@@ -59,14 +59,17 @@ def build_daily_series() -> tuple[list[str], list[float]]:
     return dates, values
 
 
+def csv_text(dates: list[str], values: list[float]) -> str:
+    """The fixture CSV: a ``date,value_mm`` header, then one row per day."""
+    return "date,value_mm\n" + "".join(f"{date},{value:.17g}\n" for date, value in zip(dates, values))
+
+
 def main() -> int:
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     dates, values = build_daily_series()
     csv_path = FIXTURE_DIR / "precip_seed42.csv"
     with open(csv_path, "w") as handle:
-        handle.write("date,value_mm\n")
-        for date, value in zip(dates, values):
-            handle.write(f"{date},{value:.17g}\n")
+        handle.write(csv_text(dates, values))
     print(f"wrote {csv_path} ({len(values)} rows, {N_SPELLS} wet spells)")
 
     buffer = io.StringIO()

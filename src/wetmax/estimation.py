@@ -37,7 +37,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln
 
 from . import gof
-from .distributions import ModelParams, NegBinParams, _checked, limit_log_pdf
+from .distributions import ModelParams, NegBinParams, _checked
 
 
 class EstimationError(RuntimeError):
@@ -289,14 +289,12 @@ def fit_least_squares(sample: MaximaSample, r: float):
 # maximum likelihood refinement
 
 
-def _log_likelihood(values: np.ndarray, params: ModelParams) -> float:
-    return float(np.sum(limit_log_pdf(values, params)))
-
-
 def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: bool):
-    """Score and Hessian of the log likelihood in u = (log r, log lam, log gamma).
+    """Log likelihood, score and Hessian in u = (log r, log lam, log gamma).
 
-    With t = lam x^gamma, L = log x, pi = t/(1+t), q = pi (1-pi) and
+    The log likelihood sums :func:`~wetmax.distributions.limit_log_pdf`'s
+    expression, term for term, so the two agree to the last bit.  With
+    t = lam x^gamma, L = log x, pi = t/(1+t), q = pi (1-pi) and
     a = r - (r+1) pi, the score is (m + r sum log pi, sum a,
     m + sum gamma L a); the Hessian follows from d pi / d log lam = q and
     d pi / d log gamma = gamma L q.  With ``fix_r`` the log r row and
@@ -304,7 +302,10 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     """
     m = logx.size
     gl = gamma * logx
-    log_pi = -np.logaddexp(0.0, -(np.log(lam) + gl))
+    log_t = np.log(lam) + gl
+    ll = float(np.sum(np.log(r * gamma) + r * np.log(lam) + (gamma * r - 1.0) * logx
+                      - (r + 1.0) * np.logaddexp(0.0, log_t)))
+    log_pi = -np.logaddexp(0.0, -log_t)
     pi = np.exp(log_pi)
     one_minus_pi = 1.0 - pi
     q = pi * one_minus_pi
@@ -316,8 +317,8 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     cc = gl_a - (r + 1.0) * np.dot(gl * gl, q)
     hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])
     if fix_r:
-        return score[1:], hessian[1:, 1:]
-    return score, hessian
+        return ll, score[1:], hessian[1:, 1:]
+    return ll, score, hessian
 
 
 def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) -> Optional[dict]:
@@ -344,12 +345,7 @@ def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) 
     return {"r": None, **se}
 
 
-def fit_mle(
-    sample: MaximaSample,
-    init: ModelParams,
-    fix_r: bool = False,
-    max_iter: int = 2000,
-) -> FitReport:
+def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
     """Maximize the sample log likelihood by Newton trust-region steps.
 
     The search runs in log-parameter space, over (log r, log lam, log gamma)
@@ -357,29 +353,29 @@ def fit_mle(
     positive without constraints.  It is scipy's ``trust-exact`` method fed
     with the exact score and Hessian, and it stops once the Euclidean norm of
     the score falls below gtol = 1e-6 m, for a sample of size m, or after
-    ``max_iter`` iterations.  ``converged`` then says whether every score
-    component at the reported parameters is at most gtol in size.
+    2000 iterations.  ``converged`` then says whether every score component
+    at the reported parameters is at most gtol in size.
     The reported likelihood never falls below the likelihood at ``init``.
     ``standard_errors`` come from the observed information at the reported
     parameters, by the delta method; with ``fix_r`` the entry for r is None.
     """
-    values = sample.values
-    ll_init = _log_likelihood(values, init)
+    logx = np.log(sample.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll_init = _score_hessian(logx, init.r, init.lam, init.gamma, fix_r)[0]
     if not np.isfinite(ll_init):
         raise EstimationError(
             f"invalid start: log likelihood at {init!r} is not finite"
         )
-    logx = np.log(values)
     gtol = 1e-6 * sample.m
 
     if fix_r:
         def unpack(u):
-            return ModelParams(init.r, float(np.exp(u[0])), float(np.exp(u[1])))
+            return init.r, float(np.exp(u[0])), float(np.exp(u[1]))
 
         u0 = np.log([init.lam, init.gamma])
     else:
         def unpack(u):
-            return ModelParams(*(float(v) for v in np.exp(u)))
+            return tuple(float(v) for v in np.exp(u))
 
         u0 = np.log([init.r, init.lam, init.gamma])
 
@@ -387,18 +383,15 @@ def fit_mle(
     def evaluate(u_bytes):
         """Negative log likelihood, score and Hessian at u."""
         u = np.frombuffer(u_bytes)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p = unpack(u)
-                ll = _log_likelihood(values, p)
-                score, hessian = _score_hessian(logx, p.r, p.lam, p.gamma, fix_r)
-        except ValueError:  # exp(u) overflows or underflows
-            ll = -np.inf
-        if not (np.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian))):
-            # trust-exact factors the Hessian at a trial point before it
-            # compares objectives: finite stand-ins let the inf reject the step
-            return np.inf, np.zeros(u.size), np.zeros((u.size, u.size))
-        return -ll, -score, -hessian
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = unpack(u)
+            if all(0.0 < v < math.inf for v in theta):  # exp(u) may overflow or underflow
+                ll, score, hessian = _score_hessian(logx, *theta, fix_r)
+                if np.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian)):
+                    return -ll, -score, -hessian
+        # trust-exact factors the Hessian at a trial point before it compares
+        # objectives: finite stand-ins let the inf reject the step
+        return np.inf, np.zeros(u.size), np.zeros((u.size, u.size))
 
     result = minimize(
         lambda u: evaluate(u.tobytes())[0],
@@ -406,9 +399,9 @@ def fit_mle(
         method="trust-exact",
         jac=lambda u: evaluate(u.tobytes())[1],
         hess=lambda u: evaluate(u.tobytes())[2],
-        options={"gtol": gtol, "maxiter": max_iter},
+        options={"gtol": gtol, "maxiter": 2000},
     )
-    u, params, ll = result.x, unpack(result.x), -float(result.fun)
+    u, params, ll = result.x, ModelParams(*unpack(result.x)), -float(result.fun)
     if ll < ll_init:  # a trust-region step never lowers the likelihood; belt and braces
         u, params, ll = u0, init, ll_init
     negative_ll, negative_score, information = evaluate(u.tobytes())

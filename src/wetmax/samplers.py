@@ -9,7 +9,9 @@ still be reproducible when run in parallel.
 The limit law can be drawn through any of seven equivalent product
 representations (:class:`Representation`); the representations built from
 stable ratios or from the mixed-geometric odds variable are only valid for
-shape r <= 1 and tail exponent gamma <= 1.
+shape r <= 1 and tail exponent gamma <= 1.  Each of those two components
+is one exact draw: the ratio by inversion of its d.f. (Lamperti 1958), the
+odds variable as mu over a Beta(r, 1 - r) variate.
 """
 
 from __future__ import annotations
@@ -110,20 +112,26 @@ def sample_stable_onesided(alpha: float, rng, size=None):
 
 
 def sample_stable_ratio(alpha: float, rng, size=None):
-    """Ratio of two independent one-sided stable variates with the same exponent.
+    """Ratio R of two independent one-sided stable variates with the same exponent.
 
-    Self-reciprocal in distribution.  alpha = 1 is accepted and degenerates
-    to the constant 1, matching the degenerate stable factors it divides.
+    Drawn exactly from one uniform U by inverting the d.f. of R^alpha,
+    (1/theta) [arctan((y + cos theta) / sin theta) - (pi/2 - theta)] with
+    theta = pi alpha (Lamperti 1958): R = (sin(theta U) / sin(theta (1 - U)))^(1/alpha).
+    alpha = 1 is accepted and degenerates to the constant 1, matching the
+    degenerate stable factors it divides.
     """
-    s1 = sample_stable_onesided(alpha, rng, size)
-    s2 = sample_stable_onesided(alpha, rng, size)
-    return s1 / s2
+    alpha = _checked("alpha", alpha, 0.0, 1.0, "(]")
+    if alpha == 1.0:
+        return 1.0 if size is None else np.ones(size)
+    theta, u = np.pi * alpha, rng.random(size)
+    return (np.sin(theta * u) / np.sin(theta * (1.0 - u))) ** (1.0 / alpha)
 
 
 def sample_negbin_odds(r: float, mu: float, rng, size=None):
     """Random odds Z >= mu of the mixed-geometric negative binomial form.
 
-    Z = mu (G_r + G_{1-r}) / G_r for independent standard gamma variates.
+    Z = mu / B for one variate B ~ Beta(r, 1 - r): the law of
+    mu (G_r + G_{1-r}) / G_r for independent standard gamma variates.
     r = 1 is the plain geometric case where the mixing law collapses to the
     point mass at mu.
     """
@@ -131,9 +139,7 @@ def sample_negbin_odds(r: float, mu: float, rng, size=None):
     mu = _checked("mu", mu)
     if r == 1.0:
         return mu if size is None else np.full(size, mu)
-    g1 = sample_gamma(GammaParams(r, 1.0), rng, size)
-    g2 = sample_gamma(GammaParams(1.0 - r, 1.0), rng, size)
-    return mu * (g1 + g2) / g1
+    return mu / rng.beta(r, 1.0 - r, size)
 
 
 def sample_negbin(params: NegBinParams, rng, size=None):
@@ -196,7 +202,6 @@ def sample_limit(params: ModelParams, tag: Representation, rng, size=None):
         ratio = sample_stable_ratio(gamma, rng, size)
         z = sample_negbin_odds(r, lam, rng, size)
         return e / (rate_e * ratio * z ** inv_g)
-    raise ValueError(f"unknown representation {tag!r}")  # pragma: no cover
 
 
 def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: float, rng, size=None):

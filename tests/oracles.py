@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from wetmax import ModelParams, limit_log_pdf
+from wetmax import GammaParams, ModelParams, limit_log_pdf, sample_gamma, sample_stable_onesided
 
 
 def ks_critical_one_sample(n: int, level: float = 0.01) -> float:
@@ -200,6 +200,35 @@ def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
     return 0.5 * (lo + hi)
 
 
+def log_likelihood(values, params: ModelParams) -> float:
+    """Sample log likelihood, summed from :func:`wetmax.limit_log_pdf`.
+
+    The reference for the log likelihood that ``fit_mle``'s kernel computes
+    from log x with the same expression.
+    """
+    return float(np.sum(limit_log_pdf(values, params)))
+
+
+def stable_ratio_kanter(alpha: float, rng, size=None):
+    """Ratio of two independent one-sided stable variates, each drawn by Kanter.
+
+    The reference for :func:`wetmax.sample_stable_ratio`, which inverts the
+    ratio's closed-form d.f. at one uniform instead.
+    """
+    return sample_stable_onesided(alpha, rng, size) / sample_stable_onesided(alpha, rng, size)
+
+
+def negbin_odds_gamma_pair(r: float, mu: float, rng, size=None):
+    """Odds variable mu (G_r + G_{1-r}) / G_r from two standard gamma variates.
+
+    The reference for :func:`wetmax.sample_negbin_odds`, which draws the same
+    law as mu over one Beta(r, 1 - r) variate.
+    """
+    g1 = sample_gamma(GammaParams(r, 1.0), rng, size)
+    g2 = sample_gamma(GammaParams(1.0 - r, 1.0), rng, size)
+    return mu * (g1 + g2) / g1
+
+
 def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
     """Maximum likelihood by Nelder-Mead search in log-parameter space.
 
@@ -210,9 +239,6 @@ def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
     is never below the start.
     """
     values = np.asarray(values, dtype=float)
-
-    def log_likelihood(params):
-        return float(np.sum(limit_log_pdf(values, params)))
 
     if fix_r:
         def unpack(u):
@@ -227,7 +253,7 @@ def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
 
     def negative_ll(u):
         try:
-            ll = log_likelihood(unpack(u))
+            ll = log_likelihood(values, unpack(u))
         except (OverflowError, ValueError):
             return np.inf
         return -ll if np.isfinite(ll) else np.inf
@@ -239,7 +265,7 @@ def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
         options={"xatol": xtol, "fatol": np.inf, "maxiter": max_iter, "maxfev": 10 * max_iter},
     )
     params = unpack(result.x)
-    ll, ll_init = log_likelihood(params), log_likelihood(init)
+    ll, ll_init = log_likelihood(values, params), log_likelihood(values, init)
     if ll < ll_init:
         return init, ll_init, int(result.nit)
     return params, ll, int(result.nit)

@@ -41,13 +41,13 @@ from wetmax import (
     stable_moment,
 )
 from wetmax.cli import main as cli_main
-from wetmax.estimation import _log_likelihood
 
 from oracles import (
     integrate_against_odds_density,
     integrate_against_prob_density,
     ks_critical_one_sample,
     levy_cdf,
+    log_likelihood,
     one_sample_ks,
 )
 
@@ -242,7 +242,7 @@ def test_criterion_07_estimator_recovery():
         )
         quantile_hits += err < 0.15
         refined = fit_mle(sample, rough)
-        likelihood_monotone += refined.log_likelihood >= _log_likelihood(sample.values, rough)
+        likelihood_monotone += refined.log_likelihood >= log_likelihood(sample.values, rough)
         ks_improved += refined.ks_distance <= ks_model(sample, rough).ks_distance
     if quantile_hits < 45:
         problems.append(f"quantile method within 15% on only {quantile_hits}/50 seeds")

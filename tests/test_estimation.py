@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fit_mle_nelder_mead, shape_root_scan
+from oracles import fit_mle_nelder_mead, log_likelihood, shape_root_scan
 from wetmax import (
     EstimationError,
     MaximaSample,
@@ -25,7 +25,6 @@ from wetmax import (
     sample_negbin,
 )
 from wetmax.estimation import (
-    _log_likelihood,
     _regression_targets,
     _score_hessian,
     _solve_shape_equation,
@@ -277,7 +276,7 @@ class TestFitMle:
         )
         report = fit_mle(sample, truth)
 
-        assert report.log_likelihood >= _log_likelihood(sample.values, truth)
+        assert report.log_likelihood >= log_likelihood(sample.values, truth)
         assert abs(report.params.r - truth.r) / truth.r < 0.05
         assert abs(report.params.lam - truth.lam) / truth.lam < 0.05
         assert abs(report.params.gamma - truth.gamma) / truth.gamma < 0.05
@@ -298,7 +297,7 @@ class TestFitMle:
         seed_fit = fit_quantile(sample)
         report = fit_mle(sample, seed_fit)
 
-        assert report.log_likelihood >= _log_likelihood(sample.values, seed_fit)
+        assert report.log_likelihood >= log_likelihood(sample.values, seed_fit)
 
     def test_invalid_start_rejected(self):
         sample = MaximaSample(np.array([0.5, 1.0, 2.0]))
@@ -333,7 +332,7 @@ class TestFitMle:
         def ll(u):
             theta = np.exp(u)
             params = ModelParams(point.r, *theta) if fix_r else ModelParams(*theta)
-            return _log_likelihood(values, params)
+            return log_likelihood(values, params)
 
         steps = 1e-4 * np.eye(u0.size)
         fd_score = np.array([(ll(u0 + e) - ll(u0 - e)) / 2e-4 for e in steps])
@@ -342,7 +341,8 @@ class TestFitMle:
              for ej in steps]
             for ei in steps
         ])
-        score, hessian = _score_hessian(np.log(values), point.r, point.lam, point.gamma, fix_r)
+        ll_kernel, score, hessian = _score_hessian(np.log(values), point.r, point.lam, point.gamma, fix_r)
+        assert ll_kernel == log_likelihood(values, point)  # same expression, same order
         assert score.shape == (u0.size,) and hessian.shape == (u0.size, u0.size)
         np.testing.assert_allclose(score, fd_score, rtol=0, atol=1e-7 * values.size)
         np.testing.assert_allclose(hessian, fd_hessian, rtol=0, atol=1e-6 * values.size)
@@ -371,7 +371,7 @@ class TestFitMle:
                 assume(False)
         report = fit_mle(sample, start, fix_r=fix_r)
         p = report.params
-        score, _ = _score_hessian(np.log(sample.values), p.r, p.lam, p.gamma, fix_r)
+        _, score, _ = _score_hessian(np.log(sample.values), p.r, p.lam, p.gamma, fix_r)
         assert np.max(np.abs(score)) <= 1e-6 * m
         assert report.converged is True
         _, ll_oracle, _ = fit_mle_nelder_mead(sample.values, start, fix_r=fix_r)
@@ -418,7 +418,7 @@ class TestFitMle:
     def test_standard_errors_are_the_inverse_information(self):
         params = ModelParams(0.85, 1.5, 1.2)
         values = sample_limit(params, Representation.DIRECT, make_rng(113), size=400)
-        _, hessian = _score_hessian(np.log(values), params.r, params.lam, params.gamma, False)
+        _, _, hessian = _score_hessian(np.log(values), params.r, params.lam, params.gamma, False)
         se = _standard_errors(params, -hessian, fix_r=False)
         expected = np.array([0.85, 1.5, 1.2]) * np.sqrt(np.diag(np.linalg.inv(-hessian)))
         np.testing.assert_allclose([se["r"], se["lambda"], se["gamma"]], expected, rtol=1e-10)

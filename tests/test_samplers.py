@@ -33,7 +33,9 @@ from oracles import (
     ks_critical_one_sample,
     ks_critical_two_sample,
     levy_cdf,
+    negbin_odds_gamma_pair,
     one_sample_ks,
+    stable_ratio_kanter,
 )
 
 
@@ -200,6 +202,25 @@ class TestStableRatioSampler:
 
     def test_alpha_one_degenerate(self):
         assert np.all(sample_stable_ratio(1.0, make_rng(17), size=100) == 1.0)
+        assert sample_stable_ratio(1.0, make_rng(17)) == 1.0
+
+    @pytest.mark.parametrize("stream,alpha", enumerate([0.3, 0.6, 0.876]))
+    def test_matches_kanter_pair(self, stream, alpha):
+        n = 20_000
+        exact = sample_stable_ratio(alpha, make_rng(40, stream), size=n)
+        composed = stable_ratio_kanter(alpha, make_rng(41, stream), size=n)
+        assert two_sample_ks(exact, composed) < ks_critical_two_sample(n, n)
+
+    def test_inverts_the_ratio_law_at_one_uniform_per_variate(self):
+        alpha, n = 0.6, 1000
+        theta = math.pi * alpha
+        rng, twin = make_rng(42), make_rng(42)
+        y = sample_stable_ratio(alpha, rng, size=n) ** alpha
+        u = twin.random(n)
+        # d.f. of R^alpha (Lamperti 1958) at each draw gives back its uniform
+        cdf = (np.arctan((y + math.cos(theta)) / math.sin(theta)) - (math.pi / 2 - theta)) / theta
+        np.testing.assert_allclose(cdf, u, rtol=0, atol=1e-12)
+        assert rng.random() == twin.random()
 
 
 class TestOddsSampler:
@@ -230,6 +251,20 @@ class TestOddsSampler:
     def test_rejects_shape_above_one(self):
         with pytest.raises(ValueError):
             sample_negbin_odds(1.2, 1.0, make_rng(23), size=2)
+
+    @pytest.mark.parametrize("stream,r", enumerate([0.2, 0.5, 0.876]))
+    def test_matches_gamma_pair(self, stream, r):
+        n = 20_000
+        exact = sample_negbin_odds(r, 1.5, make_rng(43, stream), size=n)
+        composed = negbin_odds_gamma_pair(r, 1.5, make_rng(44, stream), size=n)
+        assert two_sample_ks(exact, composed) < ks_critical_two_sample(n, n)
+
+    def test_one_beta_per_variate(self):
+        r, mu, n = 0.4, 2.0, 1000
+        rng, twin = make_rng(45), make_rng(45)
+        z = sample_negbin_odds(r, mu, rng, size=n)
+        np.testing.assert_allclose(mu / z, twin.beta(r, 1.0 - r, n), rtol=1e-15)
+        assert rng.random() == twin.random()
 
 
 class TestNegBinSampler:

@@ -16,6 +16,7 @@ def _load(name):
 
 
 check_bench_line = _load("check_bench_line")
+make_fixtures = _load("make_fixtures")
 NAMES = [entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
@@ -52,3 +53,10 @@ class TestCheckBenchLine:
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert check_bench_line.main() == 1
         assert "no output" in capsys.readouterr().err
+
+
+class TestMakeFixtures:
+    def test_daily_series_reproduces_the_committed_csv(self):
+        # pins the direct and negative binomial streams that built the fixture
+        committed = (ROOT / "tests" / "fixtures" / "precip_seed42.csv").read_bytes()
+        assert make_fixtures.csv_text(*make_fixtures.build_daily_series()).encode() == committed
