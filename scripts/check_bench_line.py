@@ -6,8 +6,10 @@
 
 The last line of the run's standard output must be one strict JSON object
 (no NaN or Infinity) with ``correct`` true, ``failed`` 0, and exactly the
-end-to-end metrics that BENCHMARK.json names, each with a finite number as
-its value.  Exits 0 when it is, and 1 with one message per fault when not.
+metrics that BENCHMARK.json names, each with a finite number as its value.
+Those are the ``per_layer`` metrics when the run's ``# workload=... trace=1``
+line says it was traced, and the ``end_to_end`` metrics otherwise.  Exits 0
+when it is, and 1 with one message per fault when not.
 """
 
 from __future__ import annotations
@@ -49,14 +51,23 @@ def faults(line: str, metric_names) -> list:
     return found
 
 
+def traced(lines) -> bool:
+    """Whether the run's ``# workload=...`` line says ``trace=1``."""
+    for line in lines:
+        if line.startswith("# workload="):
+            return "trace=1" in line[2:].split()
+    return False
+
+
 def main() -> int:
-    names = [entry["name"] for entry in json.loads(BENCHMARK.read_text())["end_to_end"]]
     lines = sys.stdin.read().splitlines()
+    kind = "per_layer" if traced(lines) else "end_to_end"
+    names = [entry["name"] for entry in json.loads(BENCHMARK.read_text())[kind]]
     found = faults(lines[-1], names) if lines else ["no output"]
     for message in found:
         print(f"bench line: {message}", file=sys.stderr)
     if not found:
-        print(f"bench line: ok, {len(names)} metrics")
+        print(f"bench line: ok, {len(names)} {kind} metrics")
     return 1 if found else 0
 
 

@@ -360,12 +360,6 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
     parameters, by the delta method; with ``fix_r`` the entry for r is None.
     """
     logx = np.log(sample.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ll_init = _score_hessian(logx, init.r, init.lam, init.gamma, fix_r)[0]
-    if not np.isfinite(ll_init):
-        raise EstimationError(
-            f"invalid start: log likelihood at {init!r} is not finite"
-        )
     gtol = 1e-6 * sample.m
 
     if fix_r:
@@ -393,6 +387,11 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         # objectives: finite stand-ins let the inf reject the step
         return np.inf, np.zeros(u.size), np.zeros((u.size, u.size))
 
+    ll_init = -evaluate(u0.tobytes())[0]  # cached: trust-exact starts at the same point
+    if not np.isfinite(ll_init):
+        raise EstimationError(
+            f"invalid start: log likelihood or its derivatives at {init!r} are not finite"
+        )
     result = minimize(
         lambda u: evaluate(u.tobytes())[0],
         u0,

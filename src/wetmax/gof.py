@@ -1,9 +1,13 @@
-"""Empirical distribution functions and goodness-of-fit statistics.
+"""Goodness-of-fit statistics against the empirical distribution function.
 
 The fit metric used throughout is the uniform (Kolmogorov-Smirnov) distance
 between the empirical d.f. and either the fitted model d.f. or a second
 empirical d.f.  Both statistics are computed exactly from order statistics,
 never on a grid, so small discrepancies are not blurred away.
+
+:func:`emit_plot_data` writes the empirical-vs-model table of a fit.  It
+takes the distance from the fit's report rather than recomputing it, and
+formats all rows in one ``%`` operation.
 
 :func:`tail_index` is a Hill-type diagnostic for the regular-variation
 (power tail) assumption the limit model rests on.
@@ -12,11 +16,14 @@ never on a grid, so small discrepancies are not blurred away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .distributions import ModelParams, limit_cdf
+
+if TYPE_CHECKING:
+    from .estimation import FitReport
 
 
 def _values(sample) -> np.ndarray:
@@ -24,22 +31,6 @@ def _values(sample) -> np.ndarray:
     if arr.size == 0:
         raise ValueError("sample must be nonempty")
     return arr
-
-
-@dataclass(frozen=True)
-class EcdfTable:
-    """Right-continuous empirical d.f.: unique sorted values and step heights."""
-
-    values: np.ndarray
-    heights: np.ndarray
-    m: int
-
-    def evaluate(self, x):
-        """Empirical d.f. at x; 0 below the smallest observation."""
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate(([0.0], self.heights))
-        out = padded[idx]
-        return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -52,21 +43,15 @@ class GofResult:
     m2: Optional[int] = None
 
 
-def ecdf(sample) -> EcdfTable:
-    """Empirical d.f. of the sample; tied values merge into one jump."""
-    arr = np.sort(_values(sample))
-    unique, counts = np.unique(arr, return_counts=True)
-    heights = np.cumsum(counts) / arr.size
-    return EcdfTable(values=unique, heights=heights, m=int(arr.size))
-
-
 def ks_model(sample, params: ModelParams) -> GofResult:
     """Exact sup |empirical d.f. - model d.f.|.
 
     Evaluated over order statistics as max(|i/m - F(x_(i))|,
     |(i-1)/m - F(x_(i))|), which is exact even with ties.
     """
-    xs = np.sort(_values(sample))
+    xs = getattr(sample, "sorted_values", None)  # a MaximaSample keeps its sorted copy
+    if xs is None:
+        xs = np.sort(_values(sample))
     m = xs.size
     model = np.asarray(limit_cdf(xs, params))
     i = np.arange(1, m + 1) / m
@@ -111,23 +96,23 @@ def tail_index(sample, k: int) -> float:
     return k / total
 
 
-def emit_plot_data(sample, params: ModelParams, grid) -> str:
-    """Empirical vs model d.f. table over a grid of x values, as TSV.
+def emit_plot_data(sample, report: FitReport, grid) -> str:
+    """Empirical vs model d.f. table of a fit over a grid of x values, as TSV.
 
-    The header line carries the uniform distance and the parameters; each
-    row holds x, the empirical d.f. at x and the model d.f. at x.
+    ``sample`` is the :class:`~wetmax.estimation.MaximaSample` that was
+    fitted and ``report`` its fit.  The header line carries the report's
+    uniform distance, m and parameters; each row holds x, the empirical
+    d.f. at x and the model d.f. at x.
     """
-    result = ks_model(sample, params)
-    table = ecdf(sample)
     xs = np.asarray(grid, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("grid must be nonempty")
-    lines = [
-        f"# ks={result.ks_distance:.12g} m={result.m} "
-        f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}"
-    ]
-    empirical = table.evaluate(xs)
+    params = report.params
+    header = (
+        f"# ks={report.ks_distance:.12g} m={report.m} "
+        f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}\n"
+    )
+    empirical = np.searchsorted(sample.sorted_values, xs, side="right") / sample.m
     model = np.asarray(limit_cdf(xs, params))
-    for x, e, f in zip(xs, np.atleast_1d(empirical), np.atleast_1d(model)):
-        lines.append(f"{x:.12g}\t{e:.12g}\t{f:.12g}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((xs, empirical, model)).ravel().tolist()
+    return header + ("%.12g\t%.12g\t%.12g\n" * xs.size) % tuple(rows)

@@ -14,7 +14,14 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from wetmax import GammaParams, ModelParams, limit_log_pdf, sample_gamma, sample_stable_onesided
+from wetmax import (
+    GammaParams,
+    ModelParams,
+    limit_cdf,
+    limit_log_pdf,
+    sample_gamma,
+    sample_stable_onesided,
+)
 
 
 def ks_critical_one_sample(n: int, level: float = 0.01) -> float:
@@ -269,3 +276,41 @@ def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
     if ll < ll_init:
         return init, ll_init, int(result.nit)
     return params, ll, int(result.nit)
+
+
+def ecdf_counting(values, x):
+    """Empirical d.f. at each x, as the share of the sample at or below it.
+
+    Every observation is compared with every x, with no sort, so ties and
+    points outside the sample's range need no special case.  The reference
+    for the empirical column of :func:`wetmax.emit_plot_data`.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    return np.count_nonzero(values[None, :] <= x[:, None], axis=1) / values.size
+
+
+def simulate_text_per_value(values) -> str:
+    """``wetmax simulate``'s output, one f-string per draw.
+
+    The reference for the CLI, which formats all draws in one operation.
+    """
+    return "".join(f"{v:.17g}\n" for v in np.atleast_1d(values))
+
+
+def plot_data_per_value(sample, report, grid) -> str:
+    """:func:`wetmax.emit_plot_data`'s table, one f-string per row.
+
+    The reference for the library, which formats all rows in one operation.
+    """
+    xs = np.asarray(grid, dtype=float).ravel()
+    params = report.params
+    lines = [
+        f"# ks={report.ks_distance:.12g} m={report.m} "
+        f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}"
+    ]
+    empirical = ecdf_counting(sample.values, xs)
+    model = np.atleast_1d(limit_cdf(xs, params))
+    for x, e, f in zip(xs, empirical, model):
+        lines.append(f"{x:.12g}\t{e:.12g}\t{f:.12g}")
+    return "\n".join(lines) + "\n"

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from wetmax import cli
+from wetmax import ModelParams, Representation, cli, make_rng, sample_limit, simulate_prelimit_max
 from wetmax.cli import main
+
+from oracles import simulate_text_per_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SEED42_CSV = str(FIXTURES / "precip_seed42.csv")
@@ -182,9 +184,11 @@ class TestGofSweepCommand:
             ["gof-sweep", "--input", SEED42_CSV, "--method", "ls", "--r", "0.85",
              "--h-range", "1:2", "--plot-dir", str(plots), "--out", str(out)]
         ) == 0
-        for h in (1, 2):
+        rows = out.read_text().splitlines()[1:]
+        for h, row in zip((1, 2), rows):
             text = (plots / f"gof_h{h}_ls.tsv").read_text()
-            assert text.startswith("# ks=")
+            h_cell, m_cell, ks_cell = row.split("\t")
+            assert text.startswith(f"# ks={ks_cell} m={m_cell} r=0.85 ")
             assert len(text.strip().split("\n")) == 202
 
     def test_bad_range_exits_2(self, capsys):
@@ -208,7 +212,42 @@ class TestGofSweepCommand:
         assert len(calls) == 15
 
 
+SIMULATE_ARGV = ["simulate", "--r", "0.876", "--lambda", "2.0", "--gamma", "0.9", "--seed", "3"]
+
+
+def _simulate_both_ways(argv, tmp_path, capsys):
+    """The bytes ``argv`` writes to --out and to stdout."""
+    out = tmp_path / "sim.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    return out.read_bytes(), capsys.readouterr().out.encode()
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("tag", [t.value for t in Representation])
+    def test_every_tag_matches_per_value_oracle(self, tag, tmp_path, capsys):
+        written = _simulate_both_ways(SIMULATE_ARGV + ["--tag", tag, "--n", "40"], tmp_path, capsys)
+        draws = sample_limit(ModelParams(0.876, 2.0, 0.9), Representation(tag), make_rng(3), size=40)
+        expected = simulate_text_per_value(draws).encode()
+        assert written == (expected, expected)
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    @pytest.mark.parametrize("prelimit", [False, True])
+    def test_small_n_and_prelimit_match_per_value_oracle(self, n, prelimit, tmp_path, capsys):
+        extra = ["--prelimit-n", "10"] if prelimit else []
+        written = _simulate_both_ways(SIMULATE_ARGV + extra + ["--n", str(n)], tmp_path, capsys)
+        params, rng = ModelParams(0.876, 2.0, 0.9), make_rng(3)
+        if prelimit:
+            draws = simulate_prelimit_max(10, params, 0.5, params.gamma, rng, size=n)
+        else:
+            draws = sample_limit(params, Representation.DIRECT, rng, size=n)
+        expected = simulate_text_per_value(draws).encode()
+        assert written == (expected, expected)
+        assert expected.count(b"\n") == n
+        if prelimit and n == 300:
+            assert b"\n0\n" in expected  # N = 0 spells draw exact zeros
+
     def test_reproducible(self, tmp_path):
         args = ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2",
                 "--n", "5", "--seed", "7"]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wetmax import (
+    FitReport,
     MaximaSample,
     ModelParams,
     Representation,
-    ecdf,
     emit_plot_data,
     ks_model,
     ks_two_sample,
@@ -16,32 +18,38 @@ from wetmax import (
     tail_index,
 )
 
-from oracles import ks_critical_one_sample, ks_critical_two_sample
+from oracles import ecdf_counting, ks_critical_one_sample, ks_critical_two_sample, plot_data_per_value
 
 
-class TestEcdf:
-    def test_heights(self):
-        table = ecdf(np.array([1.0, 2.0, 3.0]))
-        assert table.heights.tolist() == pytest.approx([1 / 3, 2 / 3, 1.0])
+def _report(sample, params):
+    return FitReport(params, "quantile", 0.25, sample.m)
 
-    def test_ties_merge(self):
-        table = ecdf(np.array([2.0, 2.0]))
-        assert table.values.tolist() == [2.0]
-        assert table.heights.tolist() == [1.0]
 
-    def test_below_minimum(self):
-        table = ecdf(np.array([1.0, 2.0]))
-        assert table.evaluate(0.5) == 0.0
-        assert table.evaluate(1.0) == 0.5
-        assert table.evaluate(np.array([0.0, 1.5, 9.0])).tolist() == [0.0, 0.5, 1.0]
+def _empirical_column(sample, grid):
+    text = emit_plot_data(sample, _report(sample, ModelParams(1, 1, 1)), grid)
+    return [line.split("\t")[1] for line in text.splitlines()[1:]]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf(np.array([]))
 
-    def test_accepts_maxima_sample(self):
-        table = ecdf(MaximaSample(np.array([3.0, 1.0])))
-        assert table.m == 2
+class TestPlotEmpiricalColumn:
+    def test_ties_merge_into_one_jump(self):
+        sample = MaximaSample(np.array([2.0, 1.0, 2.0, 3.0]))
+        grid = [1.0, 1.999, 2.0, 2.5]
+        assert _empirical_column(sample, grid) == ["0.25", "0.25", "0.75", "0.75"]
+        assert ecdf_counting(sample.values, grid).tolist() == [0.25, 0.25, 0.75, 0.75]
+
+    def test_zero_below_minimum(self):
+        sample = MaximaSample(np.array([1.0, 2.0]))
+        assert _empirical_column(sample, [0.0, 0.5, 1.0]) == ["0", "0", "0.5"]
+
+    def test_one_at_and_past_maximum(self):
+        sample = MaximaSample(np.array([3.0, 1.0, 2.0]))
+        assert _empirical_column(sample, [2.0, 3.0, 9.0]) == ["0.666666666667", "1", "1"]
+
+    def test_matches_counting_oracle(self):
+        sample = MaximaSample(make_rng(305).pareto(1.5, 500) + 0.5)
+        grid = np.linspace(0.0, 1.05 * sample.values.max(), 201)
+        expected = [f"{e:.12g}" for e in ecdf_counting(sample.values, grid)]
+        assert _empirical_column(sample, grid) == expected
 
 
 class TestKsModel:
@@ -74,6 +82,11 @@ class TestKsModel:
         result = ks_model(xs, p)
         assert result.location in xs
         assert result.m == 3
+
+    def test_maxima_sample_gives_the_same_bits(self):
+        p = ModelParams(0.85, 1.5, 1.2)
+        xs = sample_limit(p, Representation.DIRECT, make_rng(306), size=2000)
+        assert ks_model(MaximaSample(xs), p) == ks_model(xs, p)
 
     def test_probability_integral_transform_invariance(self):
         p = ModelParams(0.85, 1.5, 1.2)
@@ -151,33 +164,49 @@ class TestTailIndex:
 class TestEmitPlotData:
     def test_three_rows_on_two_point_sample(self):
         p = ModelParams(1, 1, 1)
-        text = emit_plot_data(np.array([1.0, 2.0]), p, [0.0, 1.5, 3.0])
+        sample = MaximaSample(np.array([1.0, 2.0]))
+        text = emit_plot_data(sample, _report(sample, p), [0.0, 1.5, 3.0])
         lines = text.strip().split("\n")
-        assert lines[0].startswith("# ks=")
-        assert "m=2" in lines[0] and "r=1" in lines[0] and "lambda=1" in lines[0]
+        assert lines[0] == "# ks=0.25 m=2 r=1 lambda=1 gamma=1"
         assert len(lines) == 4
         for line in lines[1:]:
             assert len(line.split("\t")) == 3
 
+    def test_header_carries_the_report(self):
+        # the distance comes from the report as given, not recomputed
+        p = ModelParams(0.85, 1.5, 1.2)
+        sample = MaximaSample(np.array([1.0, 2.0]))
+        report = FitReport(p, "mle", 0.123456789012345, 7)
+        header = emit_plot_data(sample, report, [1.0]).splitlines()[0]
+        assert header == "# ks=0.123456789012 m=7 r=0.85 lambda=1.5 gamma=1.2"
+
     def test_model_column_at_zero(self):
         p = ModelParams(0.85, 1.5, 1.2)
-        text = emit_plot_data(np.array([1.0, 2.0]), p, [0.0])
+        sample = MaximaSample(np.array([1.0, 2.0]))
+        text = emit_plot_data(sample, _report(sample, p), [0.0])
         x, empirical, model = text.strip().split("\n")[1].split("\t")
         assert float(model) == 0.0
         assert float(empirical) == 0.0
 
-    def test_ecdf_reaches_one_past_maximum(self):
-        p = ModelParams(1, 1, 1)
-        text = emit_plot_data(np.array([1.0, 2.0]), p, [0.5, 5.0])
-        last = text.strip().split("\n")[-1].split("\t")
-        assert float(last[1]) == 1.0
-
-    def test_deterministic(self):
-        p = ModelParams(0.876, 3.0, 0.9)
-        xs = np.array([0.4, 1.0, 2.2])
-        grid = np.linspace(0.0, 3.0, 7)
-        assert emit_plot_data(xs, p, grid) == emit_plot_data(xs, p, grid)
-
     def test_empty_grid_rejected(self):
+        sample = MaximaSample(np.array([1.0]))
         with pytest.raises(ValueError):
-            emit_plot_data(np.array([1.0]), ModelParams(1, 1, 1), [])
+            emit_plot_data(sample, _report(sample, ModelParams(1, 1, 1)), [])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.5, 1.0, 2.0])),
+                        min_size=1, max_size=30),
+        inner=st.lists(st.floats(0.0, 1.0), max_size=20),
+        r=st.floats(0.1, 5.0),
+        lam=st.floats(0.1, 5.0),
+        gamma=st.floats(0.2, 3.0),
+        ks=st.floats(0.0, 1.0),
+    )
+    def test_matches_per_value_oracle(self, values, inner, r, lam, gamma, ks):
+        sample = MaximaSample(np.array(values))
+        top = float(sample.values.max())
+        # x = 0, points inside and beyond the sample, and one past the maximum
+        grid = np.array([0.0, *(2.0 * top * u for u in inner), 1.05 * top])
+        report = FitReport(ModelParams(r, lam, gamma), "ls", ks, sample.m)
+        assert emit_plot_data(sample, report, grid) == plot_data_per_value(sample, report, grid)

@@ -17,7 +17,10 @@ def _load(name):
 
 check_bench_line = _load("check_bench_line")
 make_fixtures = _load("make_fixtures")
-NAMES = [entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+NAMES = [entry["name"] for entry in SPEC["end_to_end"]]
+LAYER_NAMES = [entry["name"] for entry in SPEC["per_layer"]]
+TRACED_HEADER = "# env {}\n# workload=stations seed=1 rounds=3 trace=1 host_factor=1.0000\n"
 
 
 def _line(correct=True, failed=0, metrics=None):
@@ -48,6 +51,26 @@ class TestCheckBenchLine:
     def test_faults_are_named(self, line, fault):
         found = check_bench_line.faults(line, NAMES)
         assert found and any(fault in message for message in found), found
+
+    def test_traced_line_needs_every_per_layer_name(self, capsys, monkeypatch):
+        full = {name: {"value": 0.5, "unit": "s"} for name in LAYER_NAMES}
+        monkeypatch.setattr("sys.stdin", io.StringIO(TRACED_HEADER + _line(metrics=full) + "\n"))
+        assert check_bench_line.main() == 0
+        assert f"ok, {len(LAYER_NAMES)} per_layer metrics" in capsys.readouterr().out
+
+        del full["import.scipy_optimize_s"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(TRACED_HEADER + _line(metrics=full) + "\n"))
+        assert check_bench_line.main() == 1
+        assert "expected" in capsys.readouterr().err
+
+    def test_traced_line_with_end_to_end_names_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TRACED_HEADER + _line() + "\n"))
+        assert check_bench_line.main() == 1
+
+    def test_untraced_header_keeps_end_to_end_names(self, capsys, monkeypatch):
+        header = TRACED_HEADER.replace("trace=1", "trace=0")
+        monkeypatch.setattr("sys.stdin", io.StringIO(header + _line() + "\n"))
+        assert check_bench_line.main() == 0
 
     def test_empty_input_fails(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
