@@ -61,6 +61,12 @@ def _model_params_from(args) -> ModelParams:
     return ModelParams(args.r, args.lam, args.gamma)
 
 
+def _add_law_options(sub):
+    sub.add_argument("--r", type=float, required=True)
+    sub.add_argument("--lambda", dest="lam", type=float, required=True)
+    sub.add_argument("--gamma", type=float, required=True)
+
+
 def _add_input_options(sub, with_kind=False):
     sub.add_argument("--input", required=True, help="CSV path, or '-' for stdin")
     sub.add_argument("--wet-threshold", type=float, default=0.0,
@@ -117,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_gof_sweep)
 
     sim = commands.add_parser("simulate", help="draw variates from the limit law")
-    sim.add_argument("--r", type=float, required=True)
-    sim.add_argument("--lambda", dest="lam", type=float, required=True)
-    sim.add_argument("--gamma", type=float, required=True)
+    _add_law_options(sim)
     sim.add_argument("--tag", default=Representation.DIRECT.value,
                      choices=[t.value for t in Representation])
     sim.add_argument("--n", type=int, required=True)
@@ -134,16 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     quant = commands.add_parser("quantile", help="print a quantile of the limit law")
     quant.add_argument("--eps", type=float, required=True)
-    quant.add_argument("--r", type=float, required=True)
-    quant.add_argument("--lambda", dest="lam", type=float, required=True)
-    quant.add_argument("--gamma", type=float, required=True)
+    _add_law_options(quant)
     quant.set_defaults(func=_cmd_quantile)
 
     mom = commands.add_parser("moment", help="print a fractional moment of the limit law")
     mom.add_argument("--delta", type=float, required=True)
-    mom.add_argument("--r", type=float, required=True)
-    mom.add_argument("--lambda", dest="lam", type=float, required=True)
-    mom.add_argument("--gamma", type=float, required=True)
+    _add_law_options(mom)
     mom.set_defaults(func=_cmd_moment)
 
     return parser
@@ -153,9 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 
-def _cmd_segment(args) -> int:
+def _segment_input(args):
+    """The wet periods of the ``--input`` series, per the input options."""
     series = ingest_csv(args.input, missing_marker=args.missing_marker)
-    wp = segment(series, wet_threshold=args.wet_threshold, missing_policy=args.missing_policy)
+    return segment(series, wet_threshold=args.wet_threshold, missing_policy=args.missing_policy)
+
+
+def _cmd_segment(args) -> int:
+    wp = _segment_input(args)
     doc = wp.to_json_dict()
     doc["warnings"] = wp.warnings
     _write_text(json.dumps(doc, sort_keys=True) + "\n", args.out)
@@ -164,10 +169,9 @@ def _cmd_segment(args) -> int:
 
 def _load_sample(args):
     """Returns (maxima sample, durations list or None) per the input kind."""
-    series = ingest_csv(args.input, missing_marker=args.missing_marker)
     if getattr(args, "input_kind", "daily") == "maxima":
-        return MaximaSample(series.values), None
-    wp = segment(series, wet_threshold=args.wet_threshold, missing_policy=args.missing_policy)
+        return MaximaSample(ingest_csv(args.input, missing_marker=args.missing_marker).values), None
+    wp = _segment_input(args)
     sample = build_maxima(wp, CensoringSpec(args.min_wet_days))
     return sample, durations(wp)
 
@@ -252,8 +256,7 @@ def _cmd_fit(args) -> int:
 def _cmd_gof_sweep(args) -> int:
     if args.input_kind != "daily":
         raise ValueError("gof-sweep needs --input-kind daily (it sweeps the censoring threshold)")
-    series = ingest_csv(args.input, missing_marker=args.missing_marker)
-    wp = segment(series, wet_threshold=args.wet_threshold, missing_policy=args.missing_policy)
+    wp = _segment_input(args)
     duration_list = durations(wp)
     r_value, _source = _resolve_r(args, duration_list)
     methods = _select_methods(args, r_value)

@@ -197,15 +197,25 @@ def limit_pdf(x, params: ModelParams):
     return np.exp(limit_log_pdf(x, params))
 
 
+def _log_odds(p, r, xp=np):
+    """Log odds ell(p, r) = log(p^(1/r) / (1 - p^(1/r))) of levels p in (0, 1).
+
+    F(x) = p exactly when ell(p, r) = log lam + gamma log x: on this scale
+    the law is a line in log x.  ``xp`` supplies ``log`` and ``expm1``:
+    numpy for arrays, or ``math`` for one float, where numpy's per-call
+    cost would dominate.
+    """
+    log_t = xp.log(p) / r
+    return log_t - xp.log(-xp.expm1(log_t))
+
+
 def limit_quantile(eps, params: ModelParams):
     """Quantile of order eps in (0, 1): (eps^(1/r) / (lam (1 - eps^(1/r))))^(1/gamma)."""
     arr = np.asarray(eps, dtype=float)
     if arr.size:  # the extremes stand for the array; NaN propagates into both
         _checked("eps", arr.min(), 0.0, 1.0)
         _checked("eps", arr.max(), 0.0, 1.0)
-    log_t = np.log(arr) / params.r          # log eps^(1/r)
-    one_minus_t = -np.expm1(log_t)          # 1 - eps^(1/r), accurate near 1
-    out = np.exp((log_t - np.log(params.lam) - np.log(one_minus_t)) / params.gamma)
+    out = np.exp((_log_odds(arr, params.r) - np.log(params.lam)) / params.gamma)
     return _maybe_scalar(out, eps)
 
 

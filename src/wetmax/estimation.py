@@ -4,15 +4,16 @@ Three estimators are provided for the triple (r, lam, gamma) given a sample
 of per-spell maxima:
 
 * :func:`fit_quantile` - matches three empirical quantiles to the explicit
-  quantile formula of the law.  The shape enters through s = 1/r, the root
-  of a scalar equation found by ``brentq`` on s in [1e-3, 1e3]; the
-  equation's closed-form limits at 0 and infinity tell a sample that no
-  r > 0 matches from one whose root lies outside that bracket.  lam and
-  gamma then follow in closed form.  With r known the root solve is
-  skipped.
+  quantile formula of the law.  On the log-odds scale of
+  :func:`~wetmax.distributions._log_odds` the law is a line in log x, so
+  the shape r is the root of one scalar equation in the ratio kappa of the
+  three log spacings, found by ``brentq`` in log r over all r > 0.  When
+  kappa lies outside its limits as r -> 0 and as r -> inf there is no
+  root, and the fit fails naming both.  lam and gamma then follow in
+  closed form.  With r known the root solve is skipped.
 * :func:`fit_least_squares` - with r known, regresses the log order
-  statistics on their plotting positions; lam and gamma come out of the
-  normal equations in closed form.
+  statistics on the log odds of their plotting positions; lam and gamma
+  come out of the normal equations in closed form.
 * :func:`fit_mle` - refines any starting triple by Newton trust-region
   steps on the log likelihood in log-parameter space, with the exact score
   and Hessian, and gives standard errors from the observed information.
@@ -37,7 +38,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln
 
 from . import gof
-from .distributions import ModelParams, NegBinParams, _checked
+from .distributions import ModelParams, NegBinParams, _checked, _log_odds
 
 
 class EstimationError(RuntimeError):
@@ -126,47 +127,39 @@ class FitReport:
 # quantile matching
 
 
-def _log_one_minus_pow(p: float, s) -> np.ndarray:
-    """log(1 - p**s), computed as log(-expm1(s*log(p))) to stay accurate."""
-    return np.log(-np.expm1(s * np.log(p)))
-
-
 def _solve_shape_equation(x1, x2, x3, p1, p2, p3) -> float:
-    """Root s = 1/r of the scalar quantile-matching equation.
+    """Root r of the quantile fit's shape equation.
 
-    The equation f(s) = c s - (b(s) log(x1/x2) - a(s) log(x1/x3)) is solved
-    by ``brentq`` on the bracket s in [1e-3, 1e3].  When f has one sign at
-    both ends, its closed-form limits tell why: f(0+) = -(b0 log(x1/x2) -
-    a0 log(x1/x3)), with a0 = log(log p2 / log p1) and
-    b0 = log(log p3 / log p1), and f(s) ~ c s as s -> inf.  Limits of one
-    sign mean that no r > 0 matches the three order statistics; limits of
-    opposite signs put the root outside the bracket.  Either way the fit
-    raises :class:`EstimationError`.
+    With l_i = ell(p_i, r), the log odds of
+    :func:`~wetmax.distributions._log_odds`, the law puts the three order
+    statistics on its line l_i = log lam + gamma log x_i exactly when
+    (l3 - l2) / (l2 - l1) equals kappa = log(x3/x2) / log(x2/x1), which is
+    free of lam and gamma.  As r runs over (0, inf) that ratio rises (on
+    every triple tested) from kappa_0 = log(p3/p2) / log(p2/p1) to the
+    Frechet value kappa_inf = log(log p2 / log p3) / log(log p1 / log p2).
+    ``brentq`` solves (l3 - l2) - kappa (l2 - l1) = 0 in log r on
+    [-50, 50], where the ratio already equals both limits in double
+    precision, so the equation's signs at the two ends tell whether any
+    r > 0 matches.  When none does, the fit raises :class:`EstimationError`
+    naming kappa and the open range (kappa_0, kappa_inf).
     """
-    log_x12 = np.log(x1 / x2)
-    log_x13 = np.log(x1 / x3)
-    c = log_x13 * np.log(p1 / p2) - log_x12 * np.log(p1 / p3)
+    kappa = math.log(x3 / x2) / math.log(x2 / x1)
 
-    def equation(s):
-        b = _log_one_minus_pow(p3, s) - _log_one_minus_pow(p1, s)
-        a = _log_one_minus_pow(p2, s) - _log_one_minus_pow(p1, s)
-        return c * s - (b * log_x12 - a * log_x13)
+    def equation(log_r):
+        r = math.exp(log_r)
+        l1, l2, l3 = (_log_odds(p, r, math) for p in (p1, p2, p3))
+        return (l3 - l2) - kappa * (l2 - l1)
 
-    lo, hi = 1e-3, 1e3
-    if equation(lo) * equation(hi) > 0.0:
-        a0 = np.log(np.log(p2) / np.log(p1))
-        b0 = np.log(np.log(p3) / np.log(p1))
-        at_zero = -(b0 * log_x12 - a0 * log_x13)
-        if at_zero * c > 0.0:
-            raise EstimationError(
-                "quantile fit failed: no r > 0 matches the order statistics "
-                f"{(x1, x2, x3)!r}; the shape equation has one sign as s -> 0 and as s -> inf"
-            )
+    lo, hi = -50.0, 50.0
+    if not equation(lo) < 0.0 < equation(hi):
+        kappa_0 = math.log(p3 / p2) / math.log(p2 / p1)
+        kappa_inf = math.log(math.log(p2) / math.log(p3)) / math.log(math.log(p1) / math.log(p2))
         raise EstimationError(
-            "quantile fit failed: the root of the shape equation lies outside "
-            f"s = 1/r in [{lo!r}, {hi!r}]"
+            f"quantile fit failed: no r > 0 matches the order statistics {(x1, x2, x3)!r}; "
+            f"kappa = log(x3/x2) / log(x2/x1) = {kappa!r} lies outside the range "
+            f"({kappa_0!r}, {kappa_inf!r}) that the law spans as r runs over (0, inf)"
         )
-    return float(brentq(equation, lo, hi, xtol=1e-15))
+    return math.exp(brentq(equation, lo, hi, xtol=1e-14))
 
 
 def _order_statistics(sample: MaximaSample, triple: QuantileTriple):
@@ -198,24 +191,19 @@ def fit_quantile(
     """Quantile-matching estimate of (r, lam, gamma).
 
     Matches the order statistics at levels (p1, p2, p3) to the explicit
-    quantile formula.  When ``r`` is given the scalar root solve for
-    s = 1/r is skipped and only lam and gamma are estimated.
+    quantile formula: their log odds l1, l2, l3 lie on the line
+    log lam + gamma log x.  When ``r`` is given the scalar root solve for r
+    is skipped and only lam and gamma are estimated.
     """
     triple = triple if triple is not None else QuantileTriple()
     x1, x2, x3 = _order_statistics(sample, triple)
-    p1, p2, p3 = triple.p1, triple.p2, triple.p3
-    if r is None:
-        s = _solve_shape_equation(x1, x2, x3, p1, p2, p3)
-    else:
-        s = 1.0 / _checked("r", r)
-    gamma = (
-        s * (np.log(p1) - np.log(p3))
-        + _log_one_minus_pow(p3, s)
-        - _log_one_minus_pow(p1, s)
-    ) / (np.log(x1) - np.log(x3))
-    log_lam = s * np.log(p2) - _log_one_minus_pow(p2, s) - gamma * np.log(x2)
+    levels = (triple.p1, triple.p2, triple.p3)
+    r = _solve_shape_equation(x1, x2, x3, *levels) if r is None else _checked("r", r)
+    l1, l2, l3 = _log_odds(np.array(levels), r)
+    gamma = (l3 - l1) / (np.log(x3) - np.log(x1))
+    log_lam = l2 - gamma * np.log(x2)
     try:
-        return ModelParams(1.0 / s, float(np.exp(log_lam)), float(gamma))
+        return ModelParams(r, float(np.exp(log_lam)), float(gamma))
     except ValueError as exc:
         raise EstimationError(f"quantile fit produced invalid parameters: {exc}") from exc
 
@@ -256,13 +244,6 @@ def fit_quantile_tau_scan(
 # least squares on the order statistics
 
 
-def _regression_targets(m: int, r: float) -> np.ndarray:
-    """c_i = log(i^(1/r) / (m^(1/r) - i^(1/r))) for i = 1..m-1, in a stable form."""
-    i = np.arange(1, m, dtype=float)
-    log_ratio = np.log(i / m)
-    return log_ratio / r - np.log(-np.expm1(log_ratio / r))
-
-
 def fit_least_squares(sample: MaximaSample, r: float):
     """Closed-form least-squares estimate of (lam, gamma) with known shape r.
 
@@ -278,7 +259,7 @@ def fit_least_squares(sample: MaximaSample, r: float):
     logx = np.log(sample.sorted_values[: m - 1])
     if np.all(logx == logx[0]):
         raise EstimationError("least squares failed: all regressor values equal")
-    c = _regression_targets(m, r)
+    c = _log_odds(np.arange(1, m) / m, r)
     logx_c = logx - logx.mean()
     gamma = float(np.dot(c - c.mean(), logx_c) / np.dot(logx_c, logx_c))
     lam = float(np.exp(c.mean() - gamma * logx.mean()))

@@ -160,10 +160,11 @@ def segment_loop(values, wet_threshold=0.0, missing_policy="split", dates=None):
 def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
     """Root s = 1/r of the quantile fit's shape equation, by grid scan and bisection.
 
-    The reference for :func:`wetmax.estimation._solve_shape_equation`: the
-    first sign change on a 601-point log grid over [1e-3, 1e3], refined by
-    bisection to an interval of 1e-12.  Raises ValueError where the grid
-    shows no sign change.
+    The reference for the quantile fit's r-free root.  It writes the
+    equation in s with its own closed form, sharing no code with the fit's
+    log odds: the first sign change on a 601-point log grid over
+    s in [1e-3, 1e3], refined by bisection to an interval of 1e-12.  Raises
+    ValueError where the grid shows no sign change.
     """
     def log_one_minus_pow(p, s):
         return np.log(-np.expm1(s * np.log(p)))

@@ -96,6 +96,26 @@ class TestFitCommand:
         ) == 3
         assert "no wet period" in capsys.readouterr().err
 
+    def test_every_report_keeps_the_given_r_exactly(self, capsys):
+        assert main(["fit", "--input", SEED42_CSV, "--method", "all", "--r", "3.7"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["r_given"] == 3.7
+        assert sorted(doc["reports"]) == ["ls", "mle", "quantile"]
+        for report in doc["reports"].values():
+            assert report["r"] == doc["r_given"]
+
+    def test_quantile_without_root_exits_3(self, tmp_path, capsys):
+        # its kappa ~ 1.61 lies above the Frechet limit kappa_inf ~ 1.269 of the default triple
+        values = sample_limit(ModelParams(0.7, 1.5, 0.8), Representation.DIRECT, make_rng(20001), size=100)
+        path = tmp_path / "maxima.csv"
+        path.write_text(("%.17g\n" * values.size) % tuple(values.tolist()))
+        assert main(
+            ["fit", "--input", str(path), "--input-kind", "maxima", "--method", "quantile"]
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantile fit failed") and err.count("\n") == 1
+        assert "kappa" in err and "Traceback" not in err
+
     def test_ls_without_r_is_config_error(self, capsys):
         assert main(["fit", "--input", SEED42_CSV, "--method", "ls"]) == 2
 

@@ -24,8 +24,8 @@ from wetmax import (
     sample_limit,
     sample_negbin,
 )
+from wetmax.distributions import _log_odds
 from wetmax.estimation import (
-    _regression_targets,
     _score_hessian,
     _solve_shape_equation,
     _standard_errors,
@@ -152,6 +152,13 @@ def shape_equation_cases(draw):
     return (*xs, p1, p2, p3)
 
 
+def kappa_limits(p1, p2, p3):
+    """(kappa_0, kappa_inf): the shape ratio's limits as r -> 0 and r -> inf."""
+    kappa_0 = math.log(p3 / p2) / math.log(p2 / p1)
+    kappa_inf = math.log(math.log(p2) / math.log(p3)) / math.log(math.log(p1) / math.log(p2))
+    return kappa_0, kappa_inf
+
+
 class TestShapeEquation:
     @settings(max_examples=300, deadline=None)
     @given(shape_equation_cases())
@@ -159,19 +166,57 @@ class TestShapeEquation:
         try:
             expected = shape_root_scan(*case)
         except ValueError:
-            with pytest.raises(EstimationError, match="quantile fit failed"):
-                _solve_shape_equation(*case)
+            # the scan covers s = 1/r in [1e-3, 1e3] only
+            try:
+                s = 1.0 / _solve_shape_equation(*case)
+            except EstimationError as exc:
+                assert "quantile fit failed" in str(exc)
+                return
+            assert not 1e-3 <= s <= 1e3
             return
-        assert _solve_shape_equation(*case) == pytest.approx(expected, rel=1e-9, abs=0)
+        assert 1.0 / _solve_shape_equation(*case) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape_equation_cases())
+    def test_kappa_rises_from_kappa_0_to_kappa_inf(self, case):
+        # (l3 - l2) / (l2 - l1) as a function of r, at the case's levels
+        p1, p2, p3 = case[3:]
+        r = np.logspace(-3.0, 6.0, 91)
+        l1, l2, l3 = (_log_odds(p, r) for p in (p1, p2, p3))
+        kappa = (l3 - l2) / (l2 - l1)
+        kappa_0, kappa_inf = kappa_limits(p1, p2, p3)
+        tol = 1e-13  # rounding in l_i, which grow like log r and 1/r
+        assert np.all(np.diff(kappa) >= -tol * kappa[1:])
+        assert np.all(kappa >= kappa_0 * (1.0 - tol))
+        assert np.all(kappa <= kappa_inf * (1.0 + tol))
 
     def test_failure_names_the_reason(self):
         # a median this close to the upper quartile is beyond every r > 0
-        with pytest.raises(EstimationError, match="no r > 0 matches"):
+        kappa = math.log(10.0 / 9.0) / math.log(9.0)
+        kappa_0, kappa_inf = kappa_limits(0.25, 0.5, 0.75)
+        with pytest.raises(EstimationError, match="no r > 0 matches") as info:
             _solve_shape_equation(1.0, 9.0, 10.0, 0.25, 0.5, 0.75)
-        # exact quantiles of r = 5000 put the root at s = 2e-4, below the bracket
+        for value in (kappa, kappa_0, kappa_inf):
+            assert repr(value) in str(info.value)
+
+    def test_recovers_large_r(self):
+        # exact quantiles of r = 5000 put the root at s = 2e-4, far into the Frechet end
         xs = [limit_quantile(p, ModelParams(5000.0, 1.0, 1.0)) for p in (0.25, 0.5, 0.75)]
-        with pytest.raises(EstimationError, match="lies outside"):
-            _solve_shape_equation(*xs, 0.25, 0.5, 0.75)
+        assert _solve_shape_equation(*xs, 0.25, 0.5, 0.75) == pytest.approx(5000.0, rel=1e-6)
+
+    def test_sample_beyond_the_frechet_limit_fails_with_kappa(self):
+        # m = 100 from (0.7, 1.5, 0.8): kappa ~ 1.61 lies above kappa_inf ~ 1.269
+        sample = MaximaSample(
+            sample_limit(ModelParams(0.7, 1.5, 0.8), Representation.DIRECT, make_rng(20001), size=100)
+        )
+        x1, x2, x3 = (sample.sorted_values[i - 1] for i in (25, 50, 75))
+        kappa = math.log(x3 / x2) / math.log(x2 / x1)
+        kappa_0, kappa_inf = kappa_limits(0.25, 0.5, 0.75)
+        assert kappa > kappa_inf
+        with pytest.raises(EstimationError, match="no r > 0 matches") as info:
+            fit_quantile(sample)
+        for value in (kappa, kappa_0, kappa_inf):
+            assert repr(value) in str(info.value)
 
 
 class TestTauScan:
@@ -226,7 +271,7 @@ class TestFitLeastSquares:
         )
         lam_hat, gamma_hat = fit_least_squares(sample, truth.r)
         logx = np.log(sample.sorted_values[:-1])
-        c = _regression_targets(sample.m, truth.r)
+        c = _log_odds(np.arange(1, sample.m) / sample.m, truth.r)
 
         def ssq(log_lam, gamma):
             return float(np.sum((log_lam + gamma * logx - c) ** 2))
