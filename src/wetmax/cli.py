@@ -17,6 +17,7 @@ operation, with the same bytes as one ``%.17g`` / ``%.12g`` per value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -94,7 +95,13 @@ def _add_fit_options(sub):
                           "(tau, 1/2, 1-tau) and keeps the best fit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    ``parse_args`` returns a fresh namespace on every call and no default is
+    mutable, so the calls share nothing through it.
+    """
     parser = argparse.ArgumentParser(
         prog="wetmax",
         description="Wet-spell maximum precipitation model: segment, fit, check, simulate.",
@@ -331,8 +338,7 @@ def _cmd_moment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EstimationError, EmptySampleError) as exc:

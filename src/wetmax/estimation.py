@@ -410,37 +410,58 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     estimates seed a one-dimensional likelihood maximization in the shape r,
     with p profiled out as p = r / (r + mean).  Data whose variance does not
     exceed the mean carry no overdispersion signal and are rejected.
+
+    The fit runs on the counts of the distinct durations, their sufficient
+    statistic: with counts c_j of the shifted values k_j, m spells and
+    S = sum c_j k_j, the profile log likelihood is
+    sum c_j gammaln(r + k_j) - m gammaln(r) + m r log p + S log(1 - p).
+    So its cost grows with the number of distinct lengths, not of spells,
+    and the result depends only on the multiset of durations, bit for bit.
+    The bounded search in log r stops at a step of about
+    sqrt(machine eps) |log r| + ``xatol`` / 3, and a likelihood flat to
+    rounding at its peak limits it alike, so r is resolved to about 1e-8
+    to 1e-7 relative, not to ``xatol``.
     """
     arr = np.asarray(durations)
     if arr.size < 2:
         raise EstimationError("need at least 2 durations to fit")
-    if np.any(arr < 1) or np.any(arr != np.floor(arr)):
+    values, counts = np.unique(arr, return_counts=True)
+    if not np.all(np.isfinite(values)) or values[0] < 1 or np.any(values != np.floor(values)):
         raise ValueError(f"durations must be whole days >= 1, got {durations!r}")
-    if np.unique(arr).size < 2:
+    if values.size < 2:
         raise EstimationError(
             "need at least 2 distinct duration values "
             "(no overdispersion: variance <= mean, the fit degenerates "
             "to the geometric/Poisson boundary)"
         )
-    shifted = arr.astype(float) - 1.0
-    mean = float(shifted.mean())
-    var = float(shifted.var(ddof=1))
-    if var <= mean:
+    # sums and moments in exact integers, so that var = mean is a tie
+    # however the float rounding falls; each division rounds once
+    m = arr.size
+    pairs = [(c, int(v) - 1) for v, c in zip(values.tolist(), counts.tolist())]
+    total = sum(c * k for c, k in pairs)
+    square = sum(c * k * k for c, k in pairs)
+    excess = m * square - total * total - (m - 1) * total  # m (m - 1) (var - mean)
+    mean = total / m
+    if excess <= 0:
+        var = (m * square - total * total) / (m * (m - 1))
         raise EstimationError(
             f"no overdispersion: variance {var:.6g} <= mean {mean:.6g}; "
             "negative binomial fit with r > 0 unavailable "
             "(data sit at the geometric/Poisson boundary)"
         )
-    r0 = mean * mean / (var - mean)
+    r0 = total * total * (m - 1) / (m * excess)
+    shifted = values.astype(float) - 1.0
+    counts = counts.astype(float)
 
     def negative_profile_ll(log_r):
-        r = float(np.exp(log_r))
-        p = r / (r + mean)
-        ll = float(
-            np.sum(gammaln(r + shifted)) - shifted.size * gammaln(r)
-            + shifted.size * r * np.log(p) + np.sum(shifted) * np.log1p(-p)
+        # log p = -log1p(t) and log(1 - p) = log t - log1p(t) with t = mean / r,
+        # finite even where p = r / (r + mean) rounds to 1
+        r = math.exp(log_r)
+        t = mean / r
+        return -(
+            float(counts @ gammaln(r + shifted)) - m * math.lgamma(r)
+            + total * math.log(t) - (m * r + total) * math.log1p(t)
         )
-        return -ll
 
     result = minimize_scalar(
         negative_profile_ll,

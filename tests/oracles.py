@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
-from scipy.special import erfc
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import erfc, gammaln
 
 from wetmax import (
+    EstimationError,
     GammaParams,
     ModelParams,
+    NegBinParams,
     limit_cdf,
     limit_log_pdf,
     sample_gamma,
@@ -277,6 +279,64 @@ def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
     if ll < ll_init:
         return init, ll_init, int(result.nit)
     return params, ll, int(result.nit)
+
+
+def negbin_log_likelihood(durations, r: float) -> float:
+    """Negative binomial log likelihood of durations - 1 at shape r and the
+    profiled p = r / (r + mean), summed spell by spell."""
+    shifted = np.asarray(durations).astype(float) - 1.0
+    p = r / (r + float(shifted.mean()))
+    return float(np.sum(
+        gammaln(r + shifted) - gammaln(r) - gammaln(shifted + 1.0)
+        + r * np.log(p) + shifted * np.log1p(-p)
+    ))
+
+
+def fit_negbin_per_spell(durations) -> NegBinParams:
+    """Negative binomial fit summing the profile likelihood over every spell.
+
+    The reference for :func:`wetmax.fit_negbin`, which sums over the
+    distinct durations weighted by their counts instead.  The checks, the
+    moment start and the bounded search in log r are the same.
+    """
+    arr = np.asarray(durations)
+    if arr.size < 2:
+        raise EstimationError("need at least 2 durations to fit")
+    if np.any(arr < 1) or np.any(arr != np.floor(arr)):
+        raise ValueError(f"durations must be whole days >= 1, got {durations!r}")
+    if np.unique(arr).size < 2:
+        raise EstimationError(
+            "need at least 2 distinct duration values "
+            "(no overdispersion: variance <= mean, the fit degenerates "
+            "to the geometric/Poisson boundary)"
+        )
+    shifted = arr.astype(float) - 1.0
+    mean = float(shifted.mean())
+    var = float(shifted.var(ddof=1))
+    if var <= mean:
+        raise EstimationError(
+            f"no overdispersion: variance {var:.6g} <= mean {mean:.6g}; "
+            "negative binomial fit with r > 0 unavailable "
+            "(data sit at the geometric/Poisson boundary)"
+        )
+    r0 = mean * mean / (var - mean)
+
+    def negative_profile_ll(log_r):
+        r = float(np.exp(log_r))
+        p = r / (r + mean)
+        return -float(
+            np.sum(gammaln(r + shifted)) - shifted.size * gammaln(r)
+            + shifted.size * r * np.log(p) + np.sum(shifted) * np.log1p(-p)
+        )
+
+    result = minimize_scalar(
+        negative_profile_ll,
+        bounds=(np.log(r0) - 7.0, np.log(r0) + 7.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    r_hat = float(np.exp(result.x))
+    return NegBinParams(r_hat, r_hat / (r_hat + mean))
 
 
 def ecdf_counting(values, x):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wetmax import (
@@ -19,6 +21,7 @@ from wetmax import (
     gamma_pdf,
     gg_pdf,
     limit_cdf,
+    limit_log_pdf,
     limit_moment,
     limit_pdf,
     limit_quantile,
@@ -273,6 +276,47 @@ class TestLimitMoment:
                     for a, b in [(0.0, 1.0), (1.0, 1e3), (1e3, np.inf)]
                 )
                 assert limit_moment(delta, p) == pytest.approx(integral, rel=1e-6)
+
+
+def model_params():
+    """Random (r, lam, gamma), each log-uniform over a factor of about 20."""
+    return st.builds(
+        ModelParams,
+        st.floats(0.2, 5.0),
+        st.floats(0.2, 5.0),
+        st.floats(0.3, 3.0),
+    )
+
+
+class TestLawProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(model_params(), st.floats(0.01, 0.99))
+    def test_quantile_and_cdf_invert_each_other(self, p, eps):
+        x = limit_quantile(eps, p)
+        assert limit_cdf(x, p) == pytest.approx(eps, abs=1e-12)
+        assert limit_quantile(limit_cdf(x, p), p) == pytest.approx(x, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model_params(), st.floats(0.05, 0.95))
+    def test_pdf_is_the_cdf_derivative(self, p, eps):
+        x = limit_quantile(eps, p)
+        h = 1e-5 * x
+        derivative = (limit_cdf(x + h, p) - limit_cdf(x - h, p)) / (2.0 * h)
+        assert derivative == pytest.approx(limit_pdf(x, p), rel=1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(model_params(), st.floats(0.05, 0.8))
+    def test_moment_matches_quadrature(self, p, frac):
+        # over y = log x the integrand decays at least like exp(-0.06 |y|),
+        # so |y| <= 700 leaves out less than exp(-40) of it
+        delta = frac * p.gamma
+
+        def integrand(y):
+            return math.exp((delta + 1.0) * y + limit_log_pdf(math.exp(y), p))
+
+        cuts = [-700.0, *np.log(limit_quantile(np.array([0.01, 0.5, 0.99]), p)), 700.0]
+        integral = sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:]))
+        assert limit_moment(delta, p) == pytest.approx(integral, rel=1e-6)
 
 
 class TestNegBinPmf:

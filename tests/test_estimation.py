@@ -1,11 +1,19 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fit_mle_nelder_mead, log_likelihood, shape_root_scan
+from oracles import (
+    fit_mle_nelder_mead,
+    fit_negbin_per_spell,
+    log_likelihood,
+    negbin_log_likelihood,
+    shape_root_scan,
+)
 from wetmax import (
     EstimationError,
     MaximaSample,
@@ -546,3 +554,64 @@ class TestFitNegBin:
             fit_negbin([1.5, 2.0, 3.0])
         with pytest.raises(ValueError):
             fit_negbin([0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "durations",
+        [
+            [3, 3, 3, 3],
+            [2],  # fewer than two values
+            [1, 2] * 20,  # shifted variance 0.256 vs mean 0.5
+            [1.5, 2.0, 3.0],
+            [0, 1, 2],
+            [-1, 2, 3],
+        ],
+    )
+    def test_rejections_match_the_per_spell_fit(self, durations):
+        with pytest.raises((ValueError, EstimationError)) as expected:
+            fit_negbin_per_spell(durations)
+        with pytest.raises(expected.type) as got:
+            fit_negbin(durations)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations([13, 18, 21])))
+    def test_variance_equal_to_mean_rejected_in_any_order(self, order):
+        # shifted variance and mean are both 49/3; float sums over the spells
+        # in four of these orders put the variance one ulp above the mean
+        with pytest.raises(EstimationError, match="no overdispersion"):
+            fit_negbin(list(order))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="durations must be whole days >= 1"):
+                fit_negbin([1, 2, bad, 3])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(0.3, 3.0),
+        st.floats(0.1, 0.6),
+        st.integers(200, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_spell_fit(self, r, p, m, seed):
+        durations = sample_negbin(NegBinParams(r, p), make_rng(seed), size=m) + 1
+        reference = fit_negbin_per_spell(durations).r
+        fitted = fit_negbin(durations).r
+        assert fitted == pytest.approx(reference, rel=1e-6)
+        ll, ll_reference = (negbin_log_likelihood(durations, x) for x in (fitted, reference))
+        assert ll >= ll_reference - 1e-12 * abs(ll_reference)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=300), st.randoms(use_true_random=False))
+    def test_depends_only_on_the_multiset(self, durations, random):
+        shuffled = list(durations)
+        random.shuffle(shuffled)
+        try:
+            expected = fit_negbin(durations)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as got:
+                fit_negbin(shuffled)
+            assert str(got.value) == str(exc)
+            return
+        assert fit_negbin(shuffled) == expected

@@ -15,6 +15,7 @@ def _load(name):
     return module
 
 
+bench_pairs = _load("bench_pairs")
 check_bench_line = _load("check_bench_line")
 make_fixtures = _load("make_fixtures")
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -83,3 +84,46 @@ class TestMakeFixtures:
         # pins the direct and negative binomial streams that built the fixture
         committed = (ROOT / "tests" / "fixtures" / "precip_seed42.csv").read_bytes()
         assert make_fixtures.csv_text(*make_fixtures.build_daily_series()).encode() == committed
+
+
+class TestBenchPairsSummary:
+    SPEC = [
+        {"name": "fits_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "setup_s", "unit": "s", "better": "lower"},
+        {"name": "not_reported", "unit": "s", "better": "lower"},
+    ]
+
+    @staticmethod
+    def _lines(fits, setup):
+        return [
+            {"correct": True, "attempted": 5, "failed": 0,
+             "metrics": {"fits_per_s": {"value": f, "unit": "1/s"}, "setup_s": {"value": s, "unit": "s"}}}
+            for f, s in zip(fits, setup)
+        ]
+
+    def test_medians_spread_and_wins(self):
+        parent = self._lines([100, 104, 101, 103, 102, 108, 105, 107, 106, 109], [1.0] * 10)
+        change = self._lines([120, 99, 121, 122, 123, 124, 125, 126, 127, 128], [1.0] * 9 + [0.9])
+        out = bench_pairs.summarize(parent, change, self.SPEC)
+        assert sorted(out) == ["fits_per_s", "setup_s"]
+        fits = out["fits_per_s"]
+        assert fits["parent"][:2] == [100, 104] and fits["n"] == 10
+        assert fits["parent_median"] == 104.5 and fits["change_median"] == 123.5
+        assert fits["parent_iqr"] == 4.5  # quartiles 102.25 and 106.75
+        assert fits["wins"] == 9  # pair 2 reads 99 against 104
+        assert fits["relative_change"] == (123.5 - 104.5) / 104.5
+        assert fits["gain_rule"]
+        setup = out["setup_s"]
+        assert setup["wins"] == 1 and setup["parent_iqr"] == 0.0
+        assert not setup["gain_rule"]  # ties win nothing and one win is not nine tenths
+
+    def test_margin_must_exceed_the_parent_iqr(self):
+        parent = self._lines([100, 110, 100, 110], [1.0] * 4)
+        change = self._lines([111, 111, 111, 111], [1.0] * 4)
+        fits = bench_pairs.summarize(parent, change, self.SPEC)["fits_per_s"]
+        assert fits["wins"] == 4 and fits["parent_iqr"] == 10.0
+        assert not fits["gain_rule"]  # medians 105 -> 111 move by less than the IQR
+
+    def test_unpaired_lines_are_refused(self):
+        with pytest.raises(ValueError):
+            bench_pairs.summarize(self._lines([1.0], [1.0]), [], self.SPEC)
