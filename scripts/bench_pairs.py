@@ -2,16 +2,16 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
     python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_<n>.json \\
-        [--workloads stations replicates draws] [--pairs 10] [--seconds 25] \\
         [--seed-base 701] [--trace-pairs 0] [--workdir DIR]
 
 Both revisions are exported with ``git archive`` into a temporary directory,
-and ``bench/run.py`` runs from the root of each export, so each side is
-measured on its committed files.  For every workload, pair i runs both sides
-on seed ``seed-base + i``; the parent runs first in even pairs and the
+and the benchmark's ``command`` from ``BENCHMARK.json`` runs from the root of
+each export, so each side is measured on its committed files.  Every
+workload of the spec gets 10 pairs of ``run_seconds`` each; pair i runs both
+sides on seed ``seed-base + i``, the parent first in even pairs and the
 change first in odd ones.  ``--trace-pairs`` adds that many traced pairs per
-workload, for the per-layer metrics.  The script reads ``BENCHMARK.json``
-and changes nothing in the checkout except the ``--out`` file.
+workload, for the per-layer metrics.  The script changes nothing in the
+checkout except the ``--out`` file.
 
 Per workload and metric the output gives each side's values in pair order,
 both medians, both interquartile ranges, the change's relative move of the
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -45,16 +46,17 @@ def export(rev: str, dest: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``bench/run.py`` run; its result line with the ``# env`` record."""
+def run_bench(spec: dict, tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run; its result line with the ``# env`` record."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [*spec["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench/run.py failed in {tree} ({workload}, seed {seed}):\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(spec['command'])} failed in {tree} "
+                           f"({workload}, seed {seed}):\n{proc.stderr}")
     result = json.loads(lines[-1])
     env = [json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")]
     result["env"] = env[0] if env else None
@@ -106,13 +108,13 @@ def summarize(parent_lines, change_lines, spec) -> dict:
     return out
 
 
-def run_pairs(trees, workload, seeds, seconds, trace):
+def run_pairs(spec, trees, workload, seeds, trace):
     """Alternating pairs; returns the result lines per side, in pair order."""
     lines = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_bench(trees[side], workload, seed, seconds, trace)
+            result = run_bench(spec, trees[side], workload, seed, trace)
             lines[side].append(result)
             print(f"{workload} trace={trace} seed={seed} {side}: correct={result['correct']} "
                   f"failed={result['failed']}", file=sys.stderr, flush=True)
@@ -130,35 +132,32 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change (default HEAD)")
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_13.json")
-    parser.add_argument("--workloads", nargs="+", default=None)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed-base", type=int, default=701)
     parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--workdir", default=None, help="where the exports go (default: system temp)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
 
-    doc = {"seconds": args.seconds, "pairs": args.pairs, "trace_pairs": args.trace_pairs,
+    doc = {"seconds": spec["run_seconds"], "pairs": PAIRS, "trace_pairs": args.trace_pairs,
            "host": {"node": platform.node(), "machine": platform.machine(), "system": platform.system()},
            "workloads": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         doc["parent"] = export(args.parent, trees["parent"])
         doc["change"] = export(args.change, trees["change"])
-        bench_files = {side: sorted((p.relative_to(t), p.read_bytes()) for p in (t / "bench").rglob("*")
-                                    if p.is_file()) for side, t in trees.items()}
+        bench_files = {side: sorted((p.relative_to(t), p.read_bytes())
+                                    for path in spec["paths"] for p in (t / path).rglob("*") if p.is_file())
+                       for side, t in trees.items()}
         doc["bench_identical"] = bench_files["parent"] == bench_files["change"]
-        for workload in workloads:
-            seeds = list(range(args.seed_base, args.seed_base + args.pairs))
-            lines = run_pairs(trees, workload, seeds, args.seconds, 0)
+        for workload in (w["name"] for w in spec["workloads"]):
+            seeds = list(range(args.seed_base, args.seed_base + PAIRS))
+            lines = run_pairs(spec, trees, workload, seeds, 0)
             entry = {"seeds": seeds, "checks": checks(lines),
                      "end_to_end": summarize(lines["parent"], lines["change"], spec["end_to_end"])}
             doc["env"] = lines["change"][-1]["env"]
             if args.trace_pairs:
                 traced_seeds = seeds[:args.trace_pairs]
-                traced = run_pairs(trees, workload, traced_seeds, args.seconds, 1)
+                traced = run_pairs(spec, trees, workload, traced_seeds, 1)
                 entry["traced_seeds"] = traced_seeds
                 entry["traced_checks"] = checks(traced)
                 entry["per_layer"] = summarize(traced["parent"], traced["change"], spec["per_layer"])

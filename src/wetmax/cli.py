@@ -99,8 +99,11 @@ def _add_fit_options(sub):
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
 
-    ``parse_args`` returns a fresh namespace on every call and no default is
-    mutable, so the calls share nothing through it.
+    The ``wetmax`` command builds it once per run either way; the cache pays
+    off only where ``main`` runs many times in one process, as the rounds of
+    ``bench/run.py`` and the tests do.  ``parse_args`` returns a fresh
+    namespace on every call and no default is mutable, so the calls share
+    nothing through it.
     """
     parser = argparse.ArgumentParser(
         prog="wetmax",

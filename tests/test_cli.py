@@ -399,23 +399,19 @@ class TestBadArgumentValues:
 class TestParserReuse:
     COMMANDS = ["segment", "fit", "gof-sweep", "simulate", "quantile", "moment"]
 
-    @pytest.mark.parametrize("command", [None] + COMMANDS)
-    def test_help_matches_a_fresh_parser(self, command, capsys):
-        argv = ["--help"] if command is None else [command, "--help"]
-        fresh = cli.build_parser.__wrapped__()
-        with pytest.raises(SystemExit):
-            fresh.parse_args(argv)
-        expected = capsys.readouterr().out
-        for _ in range(2):
-            with pytest.raises(SystemExit) as stop:
-                main(argv)
-            assert stop.value.code == 0
-            assert capsys.readouterr().out == expected
-
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+    def test_help_matches_a_fresh_parser(self, capsys):
+        for argv in [["--help"]] + [[command, "--help"] for command in self.COMMANDS]:
+            with pytest.raises(SystemExit):
+                cli.build_parser.__wrapped__().parse_args(argv)
+            expected = capsys.readouterr().out
+            for _ in range(2):
+                with pytest.raises(SystemExit) as stop:
+                    main(argv)
+                assert stop.value.code == 0
+                assert capsys.readouterr().out == expected
 
     def test_calls_share_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
         assert main(["fit", "--input", SEED42_CSV, "--method", "quantile", "--r", "0.85"]) == 0
         assert json.loads(capsys.readouterr().out)["r_given"] == 0.85
         assert main(["fit", "--input", SEED42_CSV, "--method", "quantile"]) == 0
