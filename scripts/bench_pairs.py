@@ -10,8 +10,11 @@ each export, so each side is measured on its committed files.  Every
 workload of the spec gets 10 pairs of ``run_seconds`` each; pair i runs both
 sides on seed ``seed-base + i``, the parent first in even pairs and the
 change first in odd ones.  ``--trace-pairs`` adds that many traced pairs per
-workload, for the per-layer metrics.  The script changes nothing in the
-checkout except the ``--out`` file.
+workload, for the per-layer metrics.  Each export also runs the tier-1
+test suite once, ``python -m pytest -q --continue-on-collection-errors
+--durations=0`` with ``src`` on ``PYTHONPATH``, for its wall time, its
+outcome counts and the time of acceptance criterion 03, its slowest test.
+The script changes nothing in the checkout except the ``--out`` file.
 
 Per workload and metric the output gives each side's values in pair order,
 both medians, both interquartile ranges, the change's relative move of the
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+SUITE = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0", "-p", "no:cacheprovider"]
+CRITERION_03 = "tests/test_acceptance.py::test_criterion_03_representation_equivalence"
 
 
 def export(rev: str, dest: Path) -> str:
@@ -61,6 +68,40 @@ def run_bench(spec: dict, tree: Path, workload: str, seed: int, trace: int) -> d
     env = [json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")]
     result["env"] = env[0] if env else None
     return result
+
+
+def parse_suite(text: str) -> dict:
+    """Wall time, outcome counts and per-test times from pytest's output.
+
+    ``text`` is the output of a ``-q --durations=0`` run.  The summary line
+    ("3 failed, 550 passed, 1 warning in 34.56s (0:00:34)") gives
+    ``wall_s`` and the counts per outcome; each durations row
+    ("15.90s call     tests/x.py::test_y") adds its seconds to the test's
+    entry in ``tests``, summed over setup, call and teardown.
+    """
+    summary = None
+    tests = {}
+    for line in text.splitlines():
+        row = re.fullmatch(r"([0-9.]+)s (?:setup|call|teardown) +(\S+)", line.strip())
+        if row:
+            tests[row[2]] = tests.get(row[2], 0.0) + float(row[1])
+        elif re.fullmatch(r"\d+ [a-z]+(?:, \d+ [a-z]+)* in [0-9.]+s(?: \([0-9:]+\))?", line.strip(" =")):
+            summary = line.strip(" =")
+    if summary is None:
+        raise ValueError("no pytest summary line in the output")
+    counts = {outcome: int(n) for n, outcome in re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary)}
+    wall = float(re.search(r" in ([0-9.]+)s", summary)[1])
+    return {"wall_s": wall, "counts": counts, "tests": tests}
+
+
+def run_suite(tree: Path) -> dict:
+    """The tier-1 suite once in ``tree``: its wall time, counts and criterion 03's time."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, *SUITE], cwd=tree, env=env, capture_output=True, text=True)
+    suite = parse_suite(proc.stdout)
+    return {"wall_s": suite["wall_s"], "counts": suite["counts"], "exit_code": proc.returncode,
+            "criterion_03_s": suite["tests"].get(CRITERION_03)}
 
 
 def iqr(values) -> float:
@@ -163,6 +204,8 @@ def main(argv=None) -> int:
                 entry["per_layer"] = summarize(traced["parent"], traced["change"], spec["per_layer"])
             doc["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        doc["tier1"] = {side: run_suite(trees[side]) for side in SIDES}
+        Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -14,9 +14,9 @@ of per-spell maxima:
 * :func:`fit_least_squares` - with r known, regresses the log order
   statistics on the log odds of their plotting positions; lam and gamma
   come out of the normal equations in closed form.
-* :func:`fit_mle` - refines any starting triple by Newton trust-region
-  steps on the log likelihood in log-parameter space, with the exact score
-  and Hessian, and gives standard errors from the observed information.
+* :func:`fit_mle` - refines any starting triple by damped Newton steps on
+  the log likelihood in log-parameter space, with the exact score and
+  Hessian, and gives standard errors from the observed information.
 
 :func:`fit_negbin` fits the negative binomial law to wet-period durations
 (shifted down by one day so the support starts at zero) and is how the shape
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
-from scipy.special import gammaln
+from scipy.optimize import brentq
+from scipy.special import digamma
 
 from . import gof
 from .distributions import ModelParams, NegBinParams, _checked, _log_odds
@@ -278,24 +277,27 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     t = lam x^gamma, L = log x, pi = t/(1+t), q = pi (1-pi) and
     a = r - (r+1) pi, the score is (m + r sum log pi, sum a,
     m + sum gamma L a); the Hessian follows from d pi / d log lam = q and
-    d pi / d log gamma = gamma L q.  With ``fix_r`` the log r row and
-    column are dropped.  ``logx`` holds log x for the sample.
+    d pi / d log gamma = gamma L q.  The sums of a and 1 - pi, plain and
+    weighted by gamma L, follow from those of pi and gamma L, so they need
+    no arrays of their own.  With ``fix_r`` the log r row and column are
+    dropped.  ``logx`` holds log x for the sample.
     """
     m = logx.size
     gl = gamma * logx
     log_t = np.log(lam) + gl
+    softplus = np.logaddexp(0.0, log_t)  # log(1 + t)
     ll = float(np.sum(np.log(r * gamma) + r * np.log(lam) + (gamma * r - 1.0) * logx
-                      - (r + 1.0) * np.logaddexp(0.0, log_t)))
-    log_pi = -np.logaddexp(0.0, -log_t)
+                      - (r + 1.0) * softplus))
+    log_pi = log_t - softplus
     pi = np.exp(log_pi)
-    one_minus_pi = 1.0 - pi
-    q = pi * one_minus_pi
-    a = r - (r + 1.0) * pi
-    sum_log_pi, gl_a = np.sum(log_pi), np.dot(gl, a)
-    score = np.array([m + r * sum_log_pi, np.sum(a), m + gl_a])
-    aa, ab, ac = r * sum_log_pi, r * np.sum(one_minus_pi), r * np.dot(gl, one_minus_pi)
-    bb, bc = -(r + 1.0) * np.sum(q), -(r + 1.0) * np.dot(gl, q)
-    cc = gl_a - (r + 1.0) * np.dot(gl * gl, q)
+    q = pi * (1.0 - pi)
+    gl_q = gl * q
+    sum_log_pi, sum_pi, sum_gl, gl_pi = np.sum(log_pi), np.sum(pi), np.sum(gl), np.dot(gl, pi)
+    gl_a = r * sum_gl - (r + 1.0) * gl_pi
+    score = np.array([m + r * sum_log_pi, m * r - (r + 1.0) * sum_pi, m + gl_a])
+    aa, ab, ac = r * sum_log_pi, r * (m - sum_pi), r * (sum_gl - gl_pi)
+    bb, bc = -(r + 1.0) * np.sum(q), -(r + 1.0) * np.sum(gl_q)
+    cc = gl_a - (r + 1.0) * np.dot(gl, gl_q)
     hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])
     if fix_r:
         return ll, score[1:], hessian[1:, 1:]
@@ -326,75 +328,93 @@ def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) 
     return {"r": None, **se}
 
 
-def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
-    """Maximize the sample log likelihood by Newton trust-region steps.
+def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Solve (I + mu Id) step = score, with mu = 0 when I is positive definite.
 
-    The search runs in log-parameter space, over (log r, log lam, log gamma)
-    or over the last two with ``fix_r``, which keeps every iterate strictly
-    positive without constraints.  It is scipy's ``trust-exact`` method fed
-    with the exact score and Hessian, and it stops once the Euclidean norm of
-    the score falls below gtol = 1e-6 m, for a sample of size m, or after
-    2000 iterations.  ``converged`` then says whether every score component
-    at the reported parameters is at most gtol in size.
-    The reported likelihood never falls below the likelihood at ``init``.
-    ``standard_errors`` come from the observed information at the reported
-    parameters, by the delta method; with ``fix_r`` the entry for r is None.
+    Otherwise mu starts at 1e-8 max|I| and doubles until I + mu Id has a
+    Cholesky factor, a Levenberg-Marquardt shift that turns the step into
+    an ascent direction.
+    """
+    mu = 0.0
+    while True:
+        shifted = information + mu * np.eye(score.size)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            mu = 2.0 * mu or 1e-8 * float(np.max(np.abs(information))) or 1e-8  # 1e-8 where I = 0
+            continue
+        return np.linalg.solve(shifted, score)
+
+
+def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
+    """Maximize the sample log likelihood by damped Newton steps.
+
+    The search runs in log-parameter space, over u = (log r, log lam,
+    log gamma) or over the last two with ``fix_r``, which keeps every
+    iterate strictly positive without constraints.  Each point costs one
+    evaluation of the exact log likelihood, score and Hessian.  While the
+    Euclidean norm of the score is at least gtol = 1e-6 m, for a sample of
+    size m, and for at most 2000 steps, the step solves I step = score with
+    the observed information I = -Hessian, shifted by mu Id where I is not
+    positive definite (see :func:`_newton_step`), and is halved until the
+    log likelihood rises strictly.  A trial point where exp(u) overflows or
+    underflows, or where the log likelihood, score or Hessian is not finite,
+    counts as a fall and is never raised.  The fit also stops when halving
+    no longer moves u.  So the reported likelihood never falls below the
+    likelihood at ``init``.  ``iterations`` counts the accepted steps, and
+    ``converged`` says whether every score component at the reported
+    parameters is at most gtol in size.  ``standard_errors`` come from the
+    observed information there, by the delta method; with ``fix_r`` the
+    entry for r is None.
     """
     logx = np.log(sample.values)
     gtol = 1e-6 * sample.m
 
-    if fix_r:
-        def unpack(u):
-            return init.r, float(np.exp(u[0])), float(np.exp(u[1]))
+    def unpack(u):
+        with np.errstate(over="ignore", under="ignore"):
+            theta = np.exp(u).tolist()
+        return [init.r, *theta] if fix_r else theta
 
-        u0 = np.log([init.lam, init.gamma])
-    else:
-        def unpack(u):
-            return tuple(float(v) for v in np.exp(u))
+    def evaluate(theta):
+        """(ll, score, Hessian) at theta, or None where a value is out of range."""
+        if not all(0.0 < v < math.inf for v in theta):  # exp(u) overflowed or underflowed
+            return None
+        with np.errstate(all="ignore"):
+            ll, score, hessian = _score_hessian(logx, *theta, fix_r)
+        if math.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian)):
+            return ll, score, hessian
+        return None
 
-        u0 = np.log([init.r, init.lam, init.gamma])
-
-    @lru_cache(maxsize=1)  # scipy asks for the objective, score and Hessian at each point apart
-    def evaluate(u_bytes):
-        """Negative log likelihood, score and Hessian at u."""
-        u = np.frombuffer(u_bytes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = unpack(u)
-            if all(0.0 < v < math.inf for v in theta):  # exp(u) may overflow or underflow
-                ll, score, hessian = _score_hessian(logx, *theta, fix_r)
-                if np.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian)):
-                    return -ll, -score, -hessian
-        # trust-exact factors the Hessian at a trial point before it compares
-        # objectives: finite stand-ins let the inf reject the step
-        return np.inf, np.zeros(u.size), np.zeros((u.size, u.size))
-
-    ll_init = -evaluate(u0.tobytes())[0]  # cached: trust-exact starts at the same point
-    if not np.isfinite(ll_init):
+    theta = [init.r, init.lam, init.gamma]
+    u = np.log(theta[1:] if fix_r else theta)
+    point = evaluate(theta)
+    if point is None:
         raise EstimationError(
             f"invalid start: log likelihood or its derivatives at {init!r} are not finite"
         )
-    result = minimize(
-        lambda u: evaluate(u.tobytes())[0],
-        u0,
-        method="trust-exact",
-        jac=lambda u: evaluate(u.tobytes())[1],
-        hess=lambda u: evaluate(u.tobytes())[2],
-        options={"gtol": gtol, "maxiter": 2000},
-    )
-    u, params, ll = result.x, ModelParams(*unpack(result.x)), -float(result.fun)
-    if ll < ll_init:  # a trust-region step never lowers the likelihood; belt and braces
-        u, params, ll = u0, init, ll_init
-    negative_ll, negative_score, information = evaluate(u.tobytes())
-    in_range = bool(np.isfinite(negative_ll))
+    iterations = 0
+    while iterations < 2000 and math.hypot(*point[1]) >= gtol:
+        step = _newton_step(-point[2], point[1])
+        while np.all(np.isfinite(step)) and np.any(u + step != u):
+            trial_theta = unpack(u + step)
+            trial = evaluate(trial_theta)
+            if trial is not None and trial[0] > point[0]:
+                break
+            step = 0.5 * step
+        else:
+            break  # no step that moves u raises the likelihood
+        u, theta, point, iterations = u + step, trial_theta, trial, iterations + 1
+    ll, score, hessian = point
+    params = ModelParams(*theta)
     return FitReport(
         params=params,
         method="mle",
         ks_distance=gof.ks_model(sample, params).ks_distance,
         m=sample.m,
         log_likelihood=ll,
-        iterations=int(result.nit),
-        converged=in_range and bool(np.max(np.abs(negative_score)) <= gtol),
-        standard_errors=_standard_errors(params, information, fix_r) if in_range else None,
+        iterations=iterations,
+        converged=bool(np.max(np.abs(score)) <= gtol),
+        standard_errors=_standard_errors(params, -hessian, fix_r),
     )
 
 
@@ -414,13 +434,16 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     The fit runs on the counts of the distinct durations, their sufficient
     statistic: with counts c_j of the shifted values k_j, m spells and
     S = sum c_j k_j, the profile log likelihood is
-    sum c_j gammaln(r + k_j) - m gammaln(r) + m r log p + S log(1 - p).
+    sum c_j gammaln(r + k_j) - m gammaln(r) + m r log p + S log(1 - p),
+    and its derivative in r, the profile score, is
+    sum c_j digamma(r + k_j) - m digamma(r) - m log1p(mean / r).
     So its cost grows with the number of distinct lengths, not of spells,
     and the result depends only on the multiset of durations, bit for bit.
-    The bounded search in log r stops at a step of about
-    sqrt(machine eps) |log r| + ``xatol`` / 3, and a likelihood flat to
-    rounding at its peak limits it alike, so r is resolved to about 1e-8
-    to 1e-7 relative, not to ``xatol``.
+    r is the root of the score in log r, found by ``brentq`` on
+    log r0 +- 7 around the moment estimate r0 to about 1e-12 relative.
+    Where the score does not change sign there, the fit returns the end
+    that the likelihood rises towards: the upper one when the score is
+    >= 0 there, else the lower one when it is <= 0 there.
     """
     arr = np.asarray(durations)
     if arr.size < 2:
@@ -453,21 +476,17 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     shifted = values.astype(float) - 1.0
     counts = counts.astype(float)
 
-    def negative_profile_ll(log_r):
-        # log p = -log1p(t) and log(1 - p) = log t - log1p(t) with t = mean / r,
-        # finite even where p = r / (r + mean) rounds to 1
+    def profile_score(log_r):
+        # d/dr of the profile log likelihood; its terms in log(1 - p) cancel
         r = math.exp(log_r)
-        t = mean / r
-        return -(
-            float(counts @ gammaln(r + shifted)) - m * math.lgamma(r)
-            + total * math.log(t) - (m * r + total) * math.log1p(t)
-        )
+        return float(counts @ digamma(r + shifted)) - m * float(digamma(r)) - m * math.log1p(mean / r)
 
-    result = minimize_scalar(
-        negative_profile_ll,
-        bounds=(np.log(r0) - 7.0, np.log(r0) + 7.0),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    r_hat = float(np.exp(result.x))
+    lo, hi = math.log(r0) - 7.0, math.log(r0) + 7.0
+    if profile_score(hi) >= 0.0:
+        log_r = hi
+    elif profile_score(lo) <= 0.0:
+        log_r = lo
+    else:
+        log_r = brentq(profile_score, lo, hi)
+    r_hat = math.exp(log_r)
     return NegBinParams(r_hat, r_hat / (r_hat + mean))

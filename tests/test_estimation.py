@@ -32,6 +32,7 @@ from wetmax import (
     sample_limit,
     sample_negbin,
 )
+import wetmax.estimation as estimation
 from wetmax.distributions import _log_odds
 from wetmax.estimation import (
     _score_hessian,
@@ -430,30 +431,114 @@ class TestFitMle:
         _, ll_oracle, _ = fit_mle_nelder_mead(sample.values, start, fix_r=fix_r)
         assert report.log_likelihood >= ll_oracle - 1e-9 * abs(ll_oracle)
 
+    @staticmethod
+    def _fit_with_kernel(monkeypatch, sample, start, fix_r, doctor):
+        """fit_mle with every kernel result passed through doctor(call, result),
+        under warnings as errors; returns the report and the log parameters
+        of every call."""
+        calls = []
+
+        def kernel(*args):
+            calls.append(args)
+            return doctor(len(calls), _score_hessian(*args))
+
+        monkeypatch.setattr(estimation, "_score_hessian", kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_mle(sample, start, fix_r=fix_r)
+        return report, [np.log(args[2:4] if fix_r else args[1:4]) for args in calls]
+
+    @staticmethod
+    def _assert_same_maximum(sample, report, expected, fix_r):
+        # both fits stop with every score component below 1e-6 m, so the
+        # information times their gap in log space is below 2e-6 m, up to
+        # the information's change across the gap
+        assert report.converged is True
+        p, q = report.params, expected.params
+        _, _, hessian = _score_hessian(np.log(sample.values), q.r, q.lam, q.gamma, fix_r)
+        gap = np.log([p.r, p.lam, p.gamma]) - np.log([q.r, q.lam, q.gamma])
+        assert np.max(np.abs(hessian @ gap[1 if fix_r else 0:])) <= 2.2e-6 * sample.m
+        assert report.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-12)
+
+    @pytest.mark.parametrize("part", ["ll", "score", "hessian"])
     @pytest.mark.parametrize("fix_r", [True, False])
-    def test_out_of_range_trial_step_is_rejected_not_raised(self, monkeypatch, fix_r):
-        # trust-exact evaluates the Hessian at every proposed point before it
-        # compares objectives; a step whose exp(u) overflows or underflows
-        # must come back with an infinite objective, not raise
-        from scipy.optimize._trustregion_exact import IterativeSubproblem
-
-        import wetmax.estimation as estimation
-
-        real_minimize = estimation.minimize
-
-        def minimize_with_far_trials(fun, x0, jac, hess, **kwargs):
-            for far in (800.0, -800.0):
-                trial = IterativeSubproblem(x0 + far, fun, jac, hess)
-                assert trial.fun == np.inf
-            return real_minimize(fun, x0, jac=jac, hess=hess, **kwargs)
-
+    def test_non_finite_trial_point_is_rejected_not_raised(self, monkeypatch, fix_r, part):
+        # at the first trial point one part of the kernel's result is NaN,
+        # while the log likelihood there would otherwise rise: the step must
+        # be halved, not taken and not raised
         truth = ModelParams(0.85, 1.5, 1.2)
         sample = MaximaSample(
             sample_limit(truth, Representation.DIRECT, make_rng(114), size=400)
         )
         expected = fit_mle(sample, truth, fix_r=fix_r)
-        monkeypatch.setattr(estimation, "minimize", minimize_with_far_trials)
-        assert fit_mle(sample, truth, fix_r=fix_r) == expected
+
+        def nan_at_first_trial(call, result):
+            if call != 2:
+                return result
+            ll, score, hessian = result
+            if part == "ll":
+                return math.nan, score, hessian
+            if part == "score":
+                return ll, np.full_like(score, math.nan), hessian
+            return ll, score, np.full_like(hessian, math.nan)
+
+        report, points = self._fit_with_kernel(monkeypatch, sample, truth, fix_r, nan_at_first_trial)
+        np.testing.assert_allclose(points[2] - points[0], (points[1] - points[0]) / 2, rtol=1e-12)
+        self._assert_same_maximum(sample, report, expected, fix_r)
+
+    @pytest.mark.parametrize("fix_r", [True, False])
+    def test_out_of_range_trial_step_is_rejected_not_raised(self, monkeypatch, fix_r):
+        # the Hessian at the start, scaled down a millionfold, stretches the
+        # first Newton step until exp(u) overflows or underflows; such trial
+        # points must count as falls, not raise or warn
+        truth = ModelParams(0.85, 1.5, 1.2)
+        sample = MaximaSample(
+            sample_limit(truth, Representation.DIRECT, make_rng(114), size=400)
+        )
+        expected = fit_mle(sample, truth, fix_r=fix_r)
+        theta = [truth.lam, truth.gamma] if fix_r else [truth.r, truth.lam, truth.gamma]
+        _, score, hessian = _score_hessian(np.log(sample.values), truth.r, truth.lam, truth.gamma, fix_r)
+        first = np.log(theta) + np.linalg.solve(-1e-6 * hessian, score)
+        assert np.any(first > math.log(np.finfo(float).max)) or np.any(first < -746.0)
+
+        def flat_at_start(call, result):
+            ll, score, hessian = result
+            return ll, score, (1e-6 * hessian if call == 1 else hessian)
+
+        report, _ = self._fit_with_kernel(monkeypatch, sample, truth, fix_r, flat_at_start)
+        self._assert_same_maximum(sample, report, expected, fix_r)
+
+    def test_r_free_ridge_sample_stops_above_the_trust_region_fit(self):
+        # the likelihood of this sample only levels off as r grows (ROADMAP
+        # item 1); trust-region steps stopped at -634.0459961 after 19 steps
+        params = ModelParams(2.723676254650796, 2.702371904618805, 0.8057300462913457)
+        sample = MaximaSample(sample_limit(params, Representation.DIRECT, make_rng(10022), size=272))
+        start = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
+        report = fit_mle(sample, start)
+        assert report.iterations <= 2000
+        assert report.log_likelihood >= -634.0459959
+
+    @pytest.mark.parametrize("fix_r", [True, False])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        r=st.floats(0.3, 3.0),
+        lam=st.floats(0.2, 5.0),
+        gamma=st.floats(0.5, 2.5),
+        offsets=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+        m=st.integers(20, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_below_the_start(self, fix_r, r, lam, gamma, offsets, m, seed):
+        sample = MaximaSample(
+            sample_limit(ModelParams(r, lam, gamma), Representation.DIRECT, make_rng(seed), size=m)
+        )
+        start = ModelParams(*(v * math.exp(d) for v, d in zip((r, lam, gamma), offsets)))
+        try:
+            report = fit_mle(sample, start, fix_r=fix_r)
+        except EstimationError:
+            assume(False)
+        assert report.iterations <= 2000
+        assert report.log_likelihood >= log_likelihood(sample.values, start)
 
     def test_standard_errors_match_the_replicate_spread(self):
         truth = ModelParams(0.85, 1.5, 1.2)

@@ -127,3 +127,37 @@ class TestBenchPairsSummary:
     def test_unpaired_lines_are_refused(self):
         with pytest.raises(ValueError):
             bench_pairs.summarize(self._lines([1.0], [1.0]), [], self.SPEC)
+
+
+class TestBenchPairsSuite:
+    CANNED = """\
+..........F...........................................................E. [ 50%]
+........................................................................ [100%]
+=================================== FAILURES ===================================
+____________________________ test_x[1] ____________________________
+E   assert 2 passed in 3.0s
+============================== slowest durations ===============================
+15.90s call     tests/test_acceptance.py::test_criterion_03_representation_equivalence
+1.05s call     tests/test_estimation.py::TestShapeEquation::test_brentq_matches_grid_scan[case0]
+0.50s setup    tests/test_cli.py::test_fit[all-0.85]
+0.25s teardown tests/test_cli.py::test_fit[all-0.85]
+0.01s call     tests/test_cli.py::test_fit[all-0.85]
+
+(540 durations < 0.005s hidden.  Use -vv to show these durations.)
+=========================== short test summary info ============================
+FAILED tests/test_x.py::test_x[1] - assert 2 passed in 3.0s
+ERROR tests/test_y.py::test_y
+1 failed, 141 passed, 2 warnings, 1 error in 75.12s (0:01:15)
+"""
+
+    def test_wall_time_counts_and_test_times(self):
+        out = bench_pairs.parse_suite(self.CANNED)
+        assert out["wall_s"] == 75.12
+        assert out["counts"] == {"failed": 1, "passed": 141, "error": 1}
+        assert out["tests"][bench_pairs.CRITERION_03] == 15.90
+        assert out["tests"]["tests/test_cli.py::test_fit[all-0.85]"] == pytest.approx(0.76)  # all phases
+        assert len(out["tests"]) == 3
+
+    def test_output_without_a_summary_is_refused(self):
+        with pytest.raises(ValueError, match="no pytest summary"):
+            bench_pairs.parse_suite(self.CANNED.rsplit("\n", 2)[0])
