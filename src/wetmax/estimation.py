@@ -392,19 +392,20 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         raise EstimationError(
             f"invalid start: log likelihood or its derivatives at {init!r} are not finite"
         )
+    ll, score, hessian = point
     iterations = 0
-    while iterations < 2000 and math.hypot(*point[1]) >= gtol:
-        step = _newton_step(-point[2], point[1])
+    while iterations < 2000 and math.hypot(*score) >= gtol:
+        step = _newton_step(-hessian, score)
         while np.all(np.isfinite(step)) and np.any(u + step != u):
             trial_theta = unpack(u + step)
             trial = evaluate(trial_theta)
-            if trial is not None and trial[0] > point[0]:
+            if trial is not None and trial[0] > ll:
                 break
             step = 0.5 * step
         else:
             break  # no step that moves u raises the likelihood
-        u, theta, point, iterations = u + step, trial_theta, trial, iterations + 1
-    ll, score, hessian = point
+        u, theta, iterations = u + step, trial_theta, iterations + 1
+        ll, score, hessian = trial
     params = ModelParams(*theta)
     return FitReport(
         params=params,

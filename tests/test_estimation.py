@@ -498,8 +498,9 @@ class TestFitMle:
         expected = fit_mle(sample, truth, fix_r=fix_r)
         theta = [truth.lam, truth.gamma] if fix_r else [truth.r, truth.lam, truth.gamma]
         _, score, hessian = _score_hessian(np.log(sample.values), truth.r, truth.lam, truth.gamma, fix_r)
-        first = np.log(theta) + np.linalg.solve(-1e-6 * hessian, score)
-        assert np.any(first > math.log(np.finfo(float).max)) or np.any(first < -746.0)
+        with np.errstate(over="ignore", under="ignore"):
+            first = np.exp(np.log(theta) + np.linalg.solve(-1e-6 * hessian, score))
+        assert not np.all((0.0 < first) & (first < np.inf))
 
         def flat_at_start(call, result):
             ll, score, hessian = result
@@ -510,7 +511,8 @@ class TestFitMle:
 
     def test_r_free_ridge_sample_stops_above_the_trust_region_fit(self):
         # the likelihood of this sample only levels off as r grows (ROADMAP
-        # item 1); trust-region steps stopped at -634.0459961 after 19 steps
+        # item 1); the bound lies above the -634.0459961 at which a
+        # trust-region search stopped after 19 steps
         params = ModelParams(2.723676254650796, 2.702371904618805, 0.8057300462913457)
         sample = MaximaSample(sample_limit(params, Representation.DIRECT, make_rng(10022), size=272))
         start = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
