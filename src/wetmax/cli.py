@@ -179,7 +179,7 @@ def _cmd_segment(args) -> int:
 
 def _load_sample(args):
     """Returns (maxima sample, durations list or None) per the input kind."""
-    if getattr(args, "input_kind", "daily") == "maxima":
+    if args.input_kind == "maxima":
         return MaximaSample(ingest_csv(args.input, missing_marker=args.missing_marker).values), None
     wp = _segment_input(args)
     sample = build_maxima(wp, CensoringSpec(args.min_wet_days))
@@ -201,14 +201,23 @@ def _resolve_r(args, duration_list):
     return _checked("--r", value), "flag"
 
 
-def _parse_tau_grid(text):
+def _fit_setup(args, duration_list):
+    """(r value, its source, methods, fit) of the fit options; ``fit(method, sample, earlier)``."""
+    r_value, r_source = _resolve_r(args, duration_list)
+    if args.method == "ls" and r_value is None:
+        raise ValueError("method 'ls' needs a known shape: pass --r VALUE or --r from-durations")
+    methods = [m for m in METHODS if args.method in (m, "all") and (m != "ls" or r_value is not None)]
+    triple = QuantileTriple(args.p1, args.p2, args.p3)
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        tau_grid = ([float(tok) for tok in args.tau_grid.split(",") if tok.strip()]
+                    if args.tau_grid else None)
     except ValueError:
-        raise ValueError(f"cannot parse --tau-grid {text!r}") from None
+        raise ValueError(f"cannot parse --tau-grid {args.tau_grid!r}") from None
+    return r_value, r_source, methods, functools.partial(
+        _fit_method, r_value=r_value, triple=triple, tau_grid=tau_grid)
 
 
-def _fit_method(method, sample, r_value, triple, tau_grid, earlier):
+def _fit_method(method, sample, earlier, r_value, triple, tau_grid):
     """One method's FitReport; ``earlier`` maps the methods already fitted to theirs.
 
     The MLE starts from the ``ls`` report when r is known and from the
@@ -232,29 +241,16 @@ def _fit_method(method, sample, r_value, triple, tau_grid, earlier):
     return FitReport(params, method, ks_model(sample, params).ks_distance, sample.m)
 
 
-def _select_methods(args, r_value):
-    if args.method == "all":
-        methods = ["quantile", "mle"] + (["ls"] if r_value is not None else [])
-    else:
-        methods = [args.method]
-    if "ls" in methods and r_value is None:
-        raise ValueError("method 'ls' needs a known shape: pass --r VALUE or --r from-durations")
-    return [m for m in METHODS if m in methods]
-
-
 def _cmd_fit(args) -> int:
     sample, duration_list = _load_sample(args)
-    r_value, r_source = _resolve_r(args, duration_list)
-    methods = _select_methods(args, r_value)
-    triple = QuantileTriple(args.p1, args.p2, args.p3)
-    tau_grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
+    r_value, r_source, methods, fit = _fit_setup(args, duration_list)
     reports: dict[str, FitReport] = {}
     for method in methods:
-        reports[method] = _fit_method(method, sample, r_value, triple, tau_grid, reports)
+        reports[method] = fit(method, sample, reports)
     doc = {
         "input": args.input,
         "m": sample.m,
-        "min_wet_days": getattr(args, "min_wet_days", 1) if args.input_kind == "daily" else None,
+        "min_wet_days": args.min_wet_days if args.input_kind == "daily" else None,
         "r_given": r_value,
         "r_source": r_source,
         "reports": {name: report.to_dict() for name, report in reports.items()},
@@ -267,11 +263,7 @@ def _cmd_gof_sweep(args) -> int:
     if args.input_kind != "daily":
         raise ValueError("gof-sweep needs --input-kind daily (it sweeps the censoring threshold)")
     wp = _segment_input(args)
-    duration_list = durations(wp)
-    r_value, _source = _resolve_r(args, duration_list)
-    methods = _select_methods(args, r_value)
-    triple = QuantileTriple(args.p1, args.p2, args.p3)
-    tau_grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
+    _r_value, _source, methods, fit = _fit_setup(args, durations(wp))
 
     try:
         h_lo, h_hi = (int(tok) for tok in args.h_range.split(":"))
@@ -297,7 +289,7 @@ def _cmd_gof_sweep(args) -> int:
         reports: dict[str, FitReport] = {}
         for method in methods:
             try:
-                report = _fit_method(method, sample, r_value, triple, tau_grid, reports)
+                report = fit(method, sample, reports)
             except EstimationError:
                 cells.append("")
                 continue

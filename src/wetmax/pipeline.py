@@ -11,15 +11,20 @@ period lengths feed the negative binomial duration fit.
 The periods are stored as runs over the series: start index, length and
 maximum of each run, found with array operations on the wet mask, so
 censoring at h is a mask over the run lengths.
+
+:func:`ingest_csv` is the one reader from CSV text to a series.  It splits
+rows as ``csv.reader`` does, converts dates and values as arrays, and looks
+for the first offending line only when a conversion or check fails.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import List, Optional
 
 import numpy as np
@@ -36,33 +41,55 @@ class EmptySampleError(ValueError):
     """Censoring left no wet period to take a maximum from."""
 
 
-def _day_numbers(dates: List[str]) -> np.ndarray:
-    """Day numbers of ISO ``YYYY-MM-DD`` dates, checked to increase strictly."""
+class _DateError(ValueError):
+    """Date ``index`` is no YYYY-MM-DD date or does not follow the one before, as ``problem`` says."""
+
+    def __init__(self, dates: List[str], index: int, backward: bool):
+        self.index, date = index, dates[index]
+        self.problem = (f"date {date!r} does not follow {dates[index - 1]!r}; dates must increase strictly"
+                        if backward else f"cannot parse date {date!r} (expected YYYY-MM-DD)")
+        super().__init__(f"index {index}: {self.problem}")
+
+
+def _convert_prefix(convert, items: list):
+    """``(convert(items[:k]), k)`` for the longest prefix ``convert`` takes without a ValueError.
+
+    ``convert`` maps item by item; when the whole list fails, a bisection
+    finds the first item that does in about one more pass over the list.
+    """
     try:
-        days = np.array(dates, dtype="datetime64[D]")
+        return convert(items), len(items)
     except ValueError:
-        days = None
-    if days is None or set(map(len, dates)) != {10} or np.isnat(days).any():
-        for i, date in enumerate(dates):
-            if not _is_iso_date(date):
-                raise ValueError(f"date {date!r} at index {i} is not a YYYY-MM-DD date")
-        raise ValueError("dates must be YYYY-MM-DD dates")
-    days = days.astype(np.int64)
+        lo, hi = 0, len(items)  # items[:lo] convert, items[lo:hi] hold a failure
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            convert(items[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return convert(items[:lo]), lo
+
+
+def _day_numbers(dates: List[str]) -> np.ndarray:
+    """Day numbers of ISO ``YYYY-MM-DD`` dates, checked to increase strictly.
+
+    Raises :class:`_DateError` at the first date, in order, that is not ten
+    characters numpy reads as a day, or that does not follow the one before.
+    """
+    days, n = _convert_prefix(functools.partial(np.array, dtype="datetime64[D]"), dates)
+    bad = np.isnat(days)
+    if set(map(len, dates)) != {10}:
+        bad |= np.fromiter(map(len, dates[:n]), np.intp, n) != 10
+    if bad.any():
+        n = int(np.argmax(bad))
+    days = days[:n].astype(np.int64)
     backward = np.flatnonzero(np.diff(days) <= 0)
     if backward.size:
-        i = int(backward[0]) + 1
-        raise ValueError(
-            f"dates must increase strictly: {dates[i]!r} at index {i} "
-            f"follows {dates[i - 1]!r}"
-        )
+        raise _DateError(dates, int(backward[0]) + 1, backward=True)
+    if n < len(dates):
+        raise _DateError(dates, n, backward=False)
     return days
-
-
-def _is_iso_date(text: str) -> bool:
-    try:
-        return len(text) == 10 and not np.isnat(np.datetime64(text, "D"))
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,126 +231,82 @@ def build_maxima(wp: WetPeriods, censoring: CensoringSpec | int = CensoringSpec(
     return MaximaSample(kept)
 
 
-def _parse_cell(cell: str, line_no: int, missing_marker: str) -> float:
-    cell = cell.strip()
-    if cell == missing_marker:
-        return float("nan")
-    try:
-        value = float(cell)
-    except ValueError:
-        raise CsvFormatError(f"line {line_no}: cannot parse value {cell!r}") from None
-    if not np.isfinite(value):
-        raise CsvFormatError(f"line {line_no}: value {cell!r} is not finite")
-    if value < 0.0:
-        raise CsvFormatError(f"line {line_no}: negative precipitation {cell!r}")
-    return value
-
-
-def _has_header(first: List[str], missing_marker: str) -> bool:
-    """A first row whose value cell is neither a number nor the missing marker is a header.
-
-    A number that is not a valid reading (negative, infinite, NaN) is data,
-    and the row parse names it as an error on line 1.
-    """
-    cell = first[-1].strip()
-    if cell == missing_marker:
-        return False
+def _is_number(cell: str) -> bool:
     try:
         float(cell)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
 
 
-def _parse_whole(text: str, missing_marker: str) -> Optional[PrecipSeries]:
-    """Parse the text in one vectorised pass; None when a row needs the line parser.
+def _table(text: str):
+    """(w, cells, short): rows split as ``csv.reader`` does, a blank line a row of no cells.
 
-    The pass takes only text that ``csv.reader`` would split the same way
-    (no quotes, no lone carriage returns, one column count throughout) and
-    whose every row is valid, so it returns exactly what
-    :func:`_parse_lines` returns, without the per-row Python work.
+    w is the first row's cell count, cells those of the leading rows of w
+    cells in one list, short the (index, count) of the first other row or
+    None.  ``str`` methods split text without a quote or a lone CR alike.
     """
-    if '"' in text or missing_marker != missing_marker.strip():
-        return None
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    commas = set(map(str.count, lines, repeat(",")))
-    if not lines or len(commas) != 1 or not commas <= {0, 1}:
-        return None
-    two_columns = commas == {1}
-    body = lines[1:] if _has_header(lines[0].split(","), missing_marker) else lines
-    if not body:
-        return None
-    if two_columns:
-        cells = ",".join(body).split(",")
-        dates, column = [d.strip() for d in cells[0::2]], cells[1::2]
+    plain = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in plain:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     else:
-        dates, column = None, body
-    missing = column.count(missing_marker)
-    if missing:
-        column = ["nan" if c == missing_marker else c for c in column]
-    try:
-        values = np.array(list(map(float, column)))
-    except ValueError:
-        return None
-    if np.count_nonzero(np.isnan(values)) != missing:
-        return None  # a 'nan' cell that is not the missing marker
-    try:
-        return PrecipSeries(values, dates=dates)
-    except ValueError:
-        return None
+        lines = plain.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        commas = set(map(str.count, lines, repeat(",")))
+        if len(commas) == 1 and (commas != {0} or "" not in lines):
+            return commas.pop() + 1, ",".join(lines).split(","), None
+        rows = [line.split(",") if line else [] for line in lines]
+    width = len(rows[0])
+    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    return width, list(chain.from_iterable(rows[:k])), (k, len(rows[k])) if k < len(rows) else None
 
 
-def _parse_lines(text: str, path: str, missing_marker: str) -> PrecipSeries:
-    """Row-by-row ``csv.reader`` parse that names the first offending line."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
-        raise CsvFormatError(f"{path!r} is empty")
-    first = rows[0]
-    if len(first) not in (1, 2):
-        raise CsvFormatError(f"line 1: expected 1 or 2 columns, got {len(first)}")
-    two_columns = len(first) == 2
-    start = 1 if _has_header(first, missing_marker) else 0
+def _readings(cells: List[str], missing_marker: str):
+    """(readings, None), or the readings before the first bad cell and its (index, error).
 
-    values: List[float] = []
-    dates: List[str] = []
-    for offset, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != len(first):
-            raise CsvFormatError(
-                f"line {offset}: expected {len(first)} column(s), got {len(row)}"
-            )
-        if two_columns:
-            date = row[0].strip()
-            if not _is_iso_date(date):
-                raise CsvFormatError(f"line {offset}: cannot parse date {date!r} (expected YYYY-MM-DD)")
-            if dates and np.datetime64(date) <= np.datetime64(dates[-1]):
-                raise CsvFormatError(
-                    f"line {offset}: date {date!r} does not follow {dates[-1]!r}; "
-                    "dates must increase strictly"
-                )
-            dates.append(date)
-        values.append(_parse_cell(row[-1], offset, missing_marker))
-    if not values:
-        raise CsvFormatError(f"{path!r} contains a header but no data rows")
-    return PrecipSeries(np.array(values), dates=dates if two_columns else None)
+    A cell is missing, NaN, when it equals the marker once stripped.  A
+    padded marker fails ``float`` unless the marker is a number, so for
+    other unpadded markers a first try takes the cells as they are.
+    """
+    marker = missing_marker
+    if marker == marker.strip() and not _is_number(marker):
+        missing = cells.count(marker)
+        column = ["nan" if c == marker else c for c in cells] if missing else cells
+        try:
+            values = np.array(list(map(float, column)))
+        except ValueError:
+            values = None
+        if (values is not None and np.count_nonzero(np.isnan(values)) == missing
+                and not np.any(values < 0.0) and not np.any(np.isinf(values))):
+            return values, None
+    cells = list(map(str.strip, cells))
+    missing = np.array([c == marker for c in cells], dtype=bool)
+    values, n = _convert_prefix(lambda c: np.array(list(map(float, c))),
+                                ["nan" if m else c for m, c in zip(missing, cells)])
+    infinite = ~np.isfinite(values) & ~missing[:n]
+    bad = np.flatnonzero(infinite | (values < 0.0))
+    if bad.size:
+        n = int(bad[0])
+        error = "value {!r} is not finite" if infinite[n] else "negative precipitation {!r}"
+    elif n < len(cells):
+        error = "cannot parse value {!r}"
+    else:
+        return values, None
+    return values[:n], (n, error.format(cells[n]))
 
 
-def ingest_csv(
-    path: str,
-    missing_marker: str = "NA",
-) -> PrecipSeries:
+def ingest_csv(path: str, missing_marker: str = "NA") -> PrecipSeries:
     """Read a daily precipitation series from ``path`` ('-' for stdin).
 
     Accepted layouts: one value per row, or two columns ``date,value`` with
     ISO ``YYYY-MM-DD`` dates in strictly increasing order.  A header row is
     skipped if its value cell is not a number at all.  Cells equal to
-    ``missing_marker`` become missing days.  Malformed or negative cells,
-    and duplicate or backward dates, raise :class:`CsvFormatError` naming
-    the offending line.
+    ``missing_marker`` once stripped become missing days.  Rows are split as
+    ``csv.reader`` splits them, and a blank line is a row of no cells.  A
+    row with another cell count than the first, a malformed, negative or
+    infinite value, or a malformed, duplicate or backward date raises
+    :class:`CsvFormatError` naming the first offending line.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -333,5 +316,28 @@ def ingest_csv(
                 text = handle.read()
         except OSError as exc:
             raise CsvFormatError(f"cannot read {path!r}: {exc}") from exc
-    series = _parse_whole(text, missing_marker)
-    return series if series is not None else _parse_lines(text, path, missing_marker)
+    if not text:
+        raise CsvFormatError(f"{path!r} is empty")
+    width, cells, short = _table(text)
+    if width not in (1, 2):
+        raise CsvFormatError(f"line 1: expected 1 or 2 columns, got {width}")
+    # a first row whose value cell is neither a number nor the marker is a header;
+    # a number that is not a reading (negative, infinite, NaN) is an error on line 1
+    cell = cells[width - 1].strip()
+    header = cell != missing_marker and not _is_number(cell)
+    body = cells[width:] if header else cells
+    if not body and short is None:
+        raise CsvFormatError(f"{path!r} contains a header but no data rows")
+    dates = list(map(str.strip, body[0::2])) if width == 2 else None
+    values, bad = _readings(body[width - 1::width], missing_marker)
+    first_line = 2 if header else 1
+    try:
+        if bad is None and short is None:
+            return PrecipSeries(values, dates=dates)
+        if dates is not None:
+            _day_numbers(dates[:values.size + 1])  # a bad date comes before a bad value on its row
+    except _DateError as exc:
+        raise CsvFormatError(f"line {exc.index + first_line}: {exc.problem}") from None
+    if bad is not None:
+        raise CsvFormatError(f"line {bad[0] + first_line}: {bad[1]}")
+    raise CsvFormatError(f"line {short[0] + 1}: expected {width} column(s), got {short[1]}")

@@ -7,7 +7,10 @@ closed Levy distribution function for the alpha = 1/2 stable law.  Where a
 library routine replaced a loop, the loop is kept here as its reference.
 """
 
+import csv
+import io
 import math
+from typing import List
 
 import numpy as np
 from scipy.integrate import quad
@@ -15,10 +18,12 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import erfc, gammaln
 
 from wetmax import (
+    CsvFormatError,
     EstimationError,
     GammaParams,
     ModelParams,
     NegBinParams,
+    PrecipSeries,
     limit_cdf,
     limit_log_pdf,
     sample_gamma,
@@ -157,6 +162,80 @@ def segment_loop(values, wet_threshold=0.0, missing_policy="split", dates=None):
         ):
             warnings.append(f"missing day at index {i} split a wet run")
     return periods, warnings
+
+
+def _is_iso_date(text: str) -> bool:
+    try:
+        return len(text) == 10 and not np.isnat(np.datetime64(text, "D"))
+    except ValueError:
+        return False
+
+
+def _parse_cell(cell: str, line_no: int, missing_marker: str) -> float:
+    cell = cell.strip()
+    if cell == missing_marker:
+        return float("nan")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvFormatError(f"line {line_no}: cannot parse value {cell!r}") from None
+    if not np.isfinite(value):
+        raise CsvFormatError(f"line {line_no}: value {cell!r} is not finite")
+    if value < 0.0:
+        raise CsvFormatError(f"line {line_no}: negative precipitation {cell!r}")
+    return value
+
+
+def _has_header(first: List[str], missing_marker: str) -> bool:
+    cell = first[-1].strip()
+    if cell == missing_marker:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def parse_csv_lines(text: str, path: str, missing_marker: str) -> PrecipSeries:
+    """Row-by-row ``csv.reader`` parse that names the first offending line.
+
+    The reference for :func:`wetmax.ingest_csv`, which splits plain text
+    with ``str`` methods and converts and checks the dates and values as
+    arrays.  Each row is checked in turn: its cell count against the first
+    row's, its date (a ten-character string numpy reads as a day, after
+    the previous row's date), then its value.
+    """
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise CsvFormatError(f"{path!r} is empty")
+    first = rows[0]
+    if len(first) not in (1, 2):
+        raise CsvFormatError(f"line 1: expected 1 or 2 columns, got {len(first)}")
+    two_columns = len(first) == 2
+    start = 1 if _has_header(first, missing_marker) else 0
+
+    values: List[float] = []
+    dates: List[str] = []
+    for offset, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != len(first):
+            raise CsvFormatError(
+                f"line {offset}: expected {len(first)} column(s), got {len(row)}"
+            )
+        if two_columns:
+            date = row[0].strip()
+            if not _is_iso_date(date):
+                raise CsvFormatError(f"line {offset}: cannot parse date {date!r} (expected YYYY-MM-DD)")
+            if dates and np.datetime64(date) <= np.datetime64(dates[-1]):
+                raise CsvFormatError(
+                    f"line {offset}: date {date!r} does not follow {dates[-1]!r}; "
+                    "dates must increase strictly"
+                )
+            dates.append(date)
+        values.append(_parse_cell(row[-1], offset, missing_marker))
+    if not values:
+        raise CsvFormatError(f"{path!r} contains a header but no data rows")
+    return PrecipSeries(np.array(values), dates=dates if two_columns else None)
 
 
 def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:

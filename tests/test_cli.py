@@ -65,6 +65,25 @@ class TestSegmentCommand:
         assert err.startswith("error: line 3:") and "Traceback" not in err
 
 
+    def test_leading_blank_line_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n1.5\n2.5\n0.7\n")
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: expected 1 or 2 columns, got 0\n"
+
+    def test_crlf_quoted_copy_of_fixture_gives_same_output(self, tmp_path, capsys):
+        lines = Path(SEED42_CSV).read_text().splitlines()
+        path = tmp_path / "quoted.csv"
+        path.write_bytes("".join(",".join(f'"{c}"' for c in line.split(",")) + "\r\n"
+                                 for line in lines).encode())
+        assert main(["segment", "--input", SEED42_CSV]) == 0
+        plain = capsys.readouterr().out
+        assert main(["segment", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestFitCommand:
     def test_ls_with_known_r_recovers_fixture_params(self, capsys):
         assert main(["fit", "--input", SEED42_CSV, "--method", "ls", "--r", "0.85"]) == 0

@@ -1,9 +1,12 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_loop
+from oracles import parse_csv_lines, segment_loop
 from wetmax import (
     CensoringSpec,
     CsvFormatError,
@@ -14,7 +17,6 @@ from wetmax import (
     ingest_csv,
     segment,
 )
-from wetmax.pipeline import _parse_lines, _parse_whole
 
 
 def series(*values):
@@ -203,6 +205,30 @@ class TestIngestCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             ingest_csv(str(path))
 
+    @pytest.mark.parametrize("text", ["\n1.5\n2.5\n0.7\n", '\n"1.5"\n2.5\n0.7\n', "\r\n1.5\r\n2.5\r\n"])
+    def test_leading_blank_line_is_a_row_of_no_cells(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=r"^line 1: expected 1 or 2 columns, got 0$"):
+            ingest_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["1.5\n\n2.5\n", '1.5\n\n"2.5"\n', "date,value_mm\n\n2001-01-01,1.0\n"])
+    def test_inner_blank_line_is_a_row_of_no_cells(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=r"^line 2: expected \d column\(s\), got 0$"):
+            ingest_csv(str(path))
+
+    def test_padded_cells_and_markers_parse(self, tmp_path):
+        path = tmp_path / "pad.csv"
+        path.write_text(" date , value_mm \n 2001-01-01 , 1.5 \n2001-01-02, NA\n2001-01-03 ,\t2.0\n")
+        got = ingest_csv(str(path))
+        assert got.dates == ["2001-01-01", "2001-01-02", "2001-01-03"]
+        assert np.array_equal(got.values, [1.5, np.nan, 2.0], equal_nan=True)
+        path.write_text("1.0\n 999.9 \n0.5\n")
+        got = ingest_csv(str(path), missing_marker="999.9")
+        assert np.array_equal(got.values, [1.0, np.nan, 0.5], equal_nan=True)
+
 
 class TestPrecipSeries:
     def test_rejects_negative_and_empty(self):
@@ -239,6 +265,15 @@ class TestCalendarDates:
     def test_series_rejects_bad_dates(self, dates):
         with pytest.raises(ValueError, match="index 1"):
             PrecipSeries(np.array([1.0, 2.0]), dates=dates)
+
+    def test_series_and_reader_name_the_first_bad_date_in_order(self, tmp_path):
+        dates = ["2000-01-02", "2000-01-01", "2000-13-01"]
+        with pytest.raises(ValueError, match=r"^index 1: date '2000-01-01' does not follow '2000-01-02'"):
+            PrecipSeries(np.array([1.0, 2.0, 3.0]), dates=dates)
+        path = tmp_path / "order.csv"
+        path.write_text("".join(f"{d},1.0\n" for d in dates))
+        with pytest.raises(CsvFormatError, match=r"^line 2: date '2000-01-01' does not follow '2000-01-02'"):
+            ingest_csv(str(path))
 
     def test_ingest_names_the_backward_line(self, tmp_path):
         path = tmp_path / "back.csv"
@@ -318,7 +353,7 @@ class TestSegmentProperties:
 
 
 # ---------------------------------------------------------------------------
-# the one-pass ingest against the line parser
+# the reader against the row-by-row reference
 
 
 @st.composite
@@ -335,54 +370,121 @@ def csv_texts(draw):
     return "\n".join(rows) + end, dated
 
 
-def same_series(a, b):
-    return (a.dates == b.dates
-            and np.array_equal(a.values, b.values, equal_nan=True)
-            and (a.days is None) == (b.days is None))
+def read_text(text, missing_marker="NA"):
+    """:func:`ingest_csv` of the text, read from stdin with its line ends as they are."""
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        return ingest_csv("-", missing_marker=missing_marker)
+
+
+def outcome(parse, text, missing_marker="NA"):
+    """The series a parser returns (values bit for bit, dates, whether it has
+    day numbers), or the message of the CsvFormatError it raises."""
+    try:
+        got = parse(text, missing_marker)
+    except CsvFormatError as exc:
+        return str(exc)
+    return got.values.tobytes(), got.dates, got.days is None
+
+
+def agree(text, missing_marker="NA"):
+    """The reader's outcome, checked to equal the reference's."""
+    got = outcome(read_text, text, missing_marker)
+    assert got == outcome(lambda t, m: parse_csv_lines(t, "-", m), text, missing_marker)
+    return got
+
+
+def data_lines(text):
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def quote_cells(line):
+    return ",".join(f'"{c}"' for c in line.split(",")) if line else line
+
+
+TWISTS = {
+    "\r\n": lambda lines, k: "\r\n".join(lines) + "\r\n",
+    "\r": lambda lines, k: "\r".join(lines) + "\r",
+    "pad right": lambda lines, k: "\n".join(line + " " for line in lines) + "\n",
+    "pad left": lambda lines, k: "\n".join(" " + line for line in lines),
+    "pad cells": lambda lines, k: "\n".join(line.replace(",", " ,\t") for line in lines),
+    '"': lambda lines, k: "\n".join(map(quote_cells, lines)) + "\n",
+    "blank line": lambda lines, k: "\n".join(lines[:k] + [""] + lines[k:]) + "\n",
+}
+
+
+VALUE_DEFECTS = ["-1.5", "abc", "inf", "nan"]
+DATE_DEFECTS = ["2001-02-30", "01/02/2001", "repeat date"]
+MESSY_CELLS = VALUE_DEFECTS + DATE_DEFECTS[:2] + [
+    "NA", " NA ", "", " 2.5 ", "-999", "2000-01-01", " 2000-01-05", "value_mm"]
 
 
 class TestIngestProperties:
     @settings(max_examples=200, deadline=None)
     @given(csv_texts())
-    def test_one_pass_equals_line_parser(self, case):
+    def test_well_formed_texts_agree(self, case):
         text, dated = case
-        fast = _parse_whole(text, "NA")
-        assert fast is not None
-        assert same_series(fast, _parse_lines(text, "gen.csv", "NA"))
-        assert (fast.dates is not None) == dated
+        values, dates, no_days = agree(text)
+        assert (dates is not None) == dated and no_days == (not dated)
 
     @settings(deadline=None)
-    @given(csv_texts(), st.sampled_from(["\r\n", "pad right", "pad left", '"']))
-    def test_deferred_layouts_agree(self, case, twist):
-        """Line ends, padding or quotes the pass may hand to the line parser."""
-        text, _dated = case
-        if twist == "\r\n":
-            text = text.replace("\n", "\r\n")
-        elif twist == "pad right":
-            text = text.replace("\n", " \n")
-        elif twist == "pad left":
-            text = "\n".join(" " + line if line else line for line in text.split("\n"))
+    @given(csv_texts(), st.sampled_from(sorted(TWISTS)), st.data())
+    def test_twisted_layouts_agree(self, case, twist, data):
+        """Line ends, padding, quotes and blank lines, all through the one reader."""
+        lines = data_lines(case[0])
+        k = data.draw(st.integers(min_value=0, max_value=len(lines)))
+        got = agree(TWISTS[twist](lines, k))
+        if twist == "blank line":
+            assert got.startswith(f"line {k + 1}: expected ")
         else:
-            text = "\n".join(",".join(f'"{c}"' for c in line.split(",")) if line else line
-                             for line in text.split("\n"))
-        slow = _parse_lines(text, "gen.csv", "NA")
-        fast = _parse_whole(text, "NA")
-        assert fast is None or same_series(fast, slow)
+            assert not isinstance(got, str)
 
     @settings(deadline=None)
-    @given(csv_texts(), st.data())
-    def test_bad_row_is_named_by_line(self, case, data):
+    @given(csv_texts(), st.sampled_from(VALUE_DEFECTS + DATE_DEFECTS + ["extra cell", "no cell"]), st.data())
+    def test_bad_row_is_named_by_line(self, case, bad, data):
         text, dated = case
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        bad = data.draw(st.sampled_from(["-1.5", "abc", "inf", "nan"]))
-        # a first row whose value is not a number is a header; any number is data
-        first = 1 if bad == "abc" else 0
+        assume(dated or bad not in DATE_DEFECTS)
+        lines = data_lines(text)
+        header = int(lines[0].endswith("value_mm"))
+        # no defect on a row where it would make a header, or set the width for the rows below
+        first = {"abc": 1, "extra cell": 1, "no cell": 1, "repeat date": header + 1}.get(
+            bad, header if bad in DATE_DEFECTS else 0)
         assume(len(lines) > first)
         k = data.draw(st.integers(min_value=first, max_value=len(lines) - 1))
-        lines[k] = (lines[k].split(",")[0] + "," + bad) if dated else bad
-        text = "\n".join(lines) + "\n"
-        assert _parse_whole(text, "NA") is None
-        with pytest.raises(CsvFormatError, match=f"^line {k + 1}:"):
-            _parse_lines(text, "gen.csv", "NA")
+        date, value = lines[k].split(",") if dated else (None, lines[k])
+        if bad == "repeat date":
+            lines[k] = lines[k - 1].split(",")[0] + "," + value
+        elif bad in DATE_DEFECTS:
+            lines[k] = bad + "," + value
+        elif bad == "extra cell":
+            lines[k] += ",1.0"
+        elif bad == "no cell":
+            lines[k] = value if dated else ""
+        else:
+            lines[k] = bad if date is None else f"{date},{bad}"
+        assert agree("\n".join(lines) + "\n").startswith(f"line {k + 1}:")
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts(),
+           st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(MESSY_CELLS),
+                              st.integers(min_value=-1, max_value=2)), max_size=4),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
+           st.sampled_from(["NA", "", "-999", "nan", "2.5", " NA "]))
+    def test_messy_texts_agree(self, case, edits, end, quoted, marker):
+        """Bad values, dates and cell counts, blank lines, padding, quotes and
+        line ends together, under markers that are empty, padded or numbers."""
+        rows = [line.split(",") if line else [] for line in data_lines(case[0])]
+        for at, cell, column in edits:
+            if not rows:
+                break
+            row = rows[at % len(rows)]
+            if column < 0:
+                row.clear()
+            elif column < len(row):
+                row[column] = cell
+            else:
+                row.append(cell)
+        lines = [",".join(f'"{c}"' if quoted else c for c in row) for row in rows]
+        agree(end.join(lines) + end, marker)
