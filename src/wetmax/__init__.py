@@ -38,7 +38,7 @@ from .estimation import (
     fit_quantile,
     fit_quantile_tau_scan,
 )
-from .gof import GofResult, emit_plot_data, ks_model, ks_two_sample, tail_index
+from .gof import GofResult, emit_plot_data, ks_model, tail_index
 from .pipeline import (
     CensoringSpec,
     CsvFormatError,

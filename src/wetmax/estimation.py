@@ -200,9 +200,10 @@ def fit_quantile(
     r = _solve_shape_equation(x1, x2, x3, *levels) if r is None else _checked("r", r)
     l1, l2, l3 = _log_odds(np.array(levels), r)
     gamma = (l3 - l1) / (np.log(x3) - np.log(x1))
-    log_lam = l2 - gamma * np.log(x2)
+    with np.errstate(over="ignore"):  # lam = inf fails the check below
+        lam = float(np.exp(l2 - gamma * np.log(x2)))
     try:
-        return ModelParams(r, float(np.exp(log_lam)), float(gamma))
+        return ModelParams(r, lam, float(gamma))
     except ValueError as exc:
         raise EstimationError(f"quantile fit produced invalid parameters: {exc}") from exc
 
@@ -261,8 +262,8 @@ def fit_least_squares(sample: MaximaSample, r: float):
     c = _log_odds(np.arange(1, m) / m, r)
     logx_c = logx - logx.mean()
     gamma = float(np.dot(c - c.mean(), logx_c) / np.dot(logx_c, logx_c))
-    lam = float(np.exp(c.mean() - gamma * logx.mean()))
-    return lam, gamma
+    with np.errstate(over="ignore"):  # lam = inf fails the caller's ModelParams check
+        return float(np.exp(c.mean() - gamma * logx.mean())), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +309,17 @@ def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) 
     """Delta-method standard errors from the observed information in log space.
 
     The covariance of u = log theta is the inverse of ``information`` (the
-    negative Hessian), found through its Cholesky factor, and
-    se(theta) = theta sqrt(Cov_u[ii]).  With ``fix_r`` the ``r`` entry is
-    None.  Returns None when the information is not positive definite, so
-    that no NaN reaches a report.
+    negative Hessian); with I = V diag(w) V^T, var u_i = sum_k V_ik^2 / w_k
+    and se(theta_i) = theta_i sqrt(var u_i).  With ``fix_r`` the ``r`` entry
+    is None.  Returns None unless every eigenvalue is > 0 and every error
+    finite, so that no NaN reaches a report.
     """
-    try:
-        factor = np.linalg.cholesky(information)
-    except np.linalg.LinAlgError:
+    w, v = np.linalg.eigh(information)
+    if not np.all(w > 0.0):
         return None
-    # Cov_u = (L L^T)^-1, so its diagonal holds the column sums of squares of L^-1
-    variances = np.sum(np.linalg.inv(factor) ** 2, axis=0)
-    first = 1 if fix_r else 0
-    thetas = (params.r, params.lam, params.gamma)[first:]
-    names = ("r", "lambda", "gamma")[first:]
-    se = {name: theta * math.sqrt(v) for name, theta, v in zip(names, thetas, variances)}
+    variances = (v * v) @ (1.0 / w)
+    fitted = list(zip(("r", "lambda", "gamma"), (params.r, params.lam, params.gamma)))[1 if fix_r else 0:]
+    se = {name: theta * math.sqrt(var) for (name, theta), var in zip(fitted, variances)}
     if not all(map(math.isfinite, se.values())):
         return None
     return {"r": None, **se}
@@ -331,19 +328,16 @@ def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) 
 def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Solve (I + mu Id) step = score, with mu = 0 when I is positive definite.
 
-    Otherwise mu starts at 1e-8 max|I| and doubles until I + mu Id has a
-    Cholesky factor, a Levenberg-Marquardt shift that turns the step into
-    an ascent direction.
+    One eigendecomposition I = V diag(w) V^T gives the test, the shift and
+    the step.  While w_min + mu <= 0, mu starts at 1e-8 max|I_ij| and
+    doubles, a Levenberg-Marquardt shift that turns the step into an ascent
+    direction.  The step is V ((score^T V) / (w + mu)).
     """
+    w, v = np.linalg.eigh(information)
     mu = 0.0
-    while True:
-        shifted = information + mu * np.eye(score.size)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            mu = 2.0 * mu or 1e-8 * float(np.max(np.abs(information))) or 1e-8  # 1e-8 where I = 0
-            continue
-        return np.linalg.solve(shifted, score)
+    while w[0] + mu <= 0.0:
+        mu = 2.0 * mu or 1e-8 * float(np.max(np.abs(information))) or 1e-8  # 1e-8 where I = 0
+    return v @ ((score @ v) / (w + mu))
 
 
 def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
@@ -352,60 +346,55 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
     The search runs in log-parameter space, over u = (log r, log lam,
     log gamma) or over the last two with ``fix_r``, which keeps every
     iterate strictly positive without constraints.  Each point costs one
-    evaluation of the exact log likelihood, score and Hessian.  While the
-    Euclidean norm of the score is at least gtol = 1e-6 m, for a sample of
-    size m, and for at most 2000 steps, the step solves I step = score with
-    the observed information I = -Hessian, shifted by mu Id where I is not
+    evaluation of the exact log likelihood, score and Hessian and one
+    ``eigh`` of the observed information I = -Hessian.  While the score's
+    norm is at least gtol = 1e-6 m, for a sample of size m, and for at most
+    2000 steps, the step solves I step = score, shifted where I is not
     positive definite (see :func:`_newton_step`), and is halved until the
     log likelihood rises strictly.  A trial point where exp(u) overflows or
     underflows, or where the log likelihood, score or Hessian is not finite,
-    counts as a fall and is never raised.  The fit also stops when halving
-    no longer moves u.  So the reported likelihood never falls below the
-    likelihood at ``init``.  ``iterations`` counts the accepted steps, and
-    ``converged`` says whether every score component at the reported
-    parameters is at most gtol in size.  ``standard_errors`` come from the
-    observed information there, by the delta method; with ``fix_r`` the
-    entry for r is None.
+    counts as a fall; one ``np.errstate`` keeps numpy quiet for the fit.
+    The fit also stops when halving no longer moves u, so the reported
+    likelihood never falls below that at ``init``.  ``iterations`` counts
+    the accepted steps, and ``converged`` says whether every score
+    component at the reported parameters is at most gtol in size.
+    ``standard_errors`` come from the observed information there, by the
+    delta method; with ``fix_r`` the entry for r is None.
     """
     logx = np.log(sample.values)
     gtol = 1e-6 * sample.m
-
-    def unpack(u):
-        with np.errstate(over="ignore", under="ignore"):
-            theta = np.exp(u).tolist()
-        return [init.r, *theta] if fix_r else theta
+    fixed = [init.r] if fix_r else []
 
     def evaluate(theta):
         """(ll, score, Hessian) at theta, or None where a value is out of range."""
         if not all(0.0 < v < math.inf for v in theta):  # exp(u) overflowed or underflowed
             return None
-        with np.errstate(all="ignore"):
-            ll, score, hessian = _score_hessian(logx, *theta, fix_r)
+        ll, score, hessian = _score_hessian(logx, *theta, fix_r)
         if math.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian)):
             return ll, score, hessian
         return None
 
     theta = [init.r, init.lam, init.gamma]
     u = np.log(theta[1:] if fix_r else theta)
-    point = evaluate(theta)
-    if point is None:
-        raise EstimationError(
-            f"invalid start: log likelihood or its derivatives at {init!r} are not finite"
-        )
-    ll, score, hessian = point
-    iterations = 0
-    while iterations < 2000 and math.hypot(*score) >= gtol:
-        step = _newton_step(-hessian, score)
-        while np.all(np.isfinite(step)) and np.any(u + step != u):
-            trial_theta = unpack(u + step)
-            trial = evaluate(trial_theta)
-            if trial is not None and trial[0] > ll:
-                break
-            step = 0.5 * step
-        else:
-            break  # no step that moves u raises the likelihood
-        u, theta, iterations = u + step, trial_theta, iterations + 1
-        ll, score, hessian = trial
+    with np.errstate(all="ignore"):
+        point = evaluate(theta)
+        if point is None:
+            raise EstimationError(f"invalid start: log likelihood or its derivatives at {init!r} "
+                                  "are not finite")
+        ll, score, hessian = point
+        iterations = 0
+        while iterations < 2000 and math.hypot(*score) >= gtol:
+            step = _newton_step(-hessian, score)
+            while np.all(np.isfinite(step)) and np.any(u + step != u):
+                trial_theta = fixed + np.exp(u + step).tolist()
+                trial = evaluate(trial_theta)
+                if trial is not None and trial[0] > ll:
+                    break
+                step = 0.5 * step
+            else:
+                break  # no step that moves u raises the likelihood
+            u, theta, iterations = u + step, trial_theta, iterations + 1
+            ll, score, hessian = trial
     params = ModelParams(*theta)
     return FitReport(
         params=params,

@@ -1,9 +1,9 @@
 """Goodness-of-fit statistics against the empirical distribution function.
 
 The fit metric used throughout is the uniform (Kolmogorov-Smirnov) distance
-between the empirical d.f. and either the fitted model d.f. or a second
-empirical d.f.  Both statistics are computed exactly from order statistics,
-never on a grid, so small discrepancies are not blurred away.
+between the empirical d.f. and the fitted model d.f.  It is computed exactly
+from order statistics, never on a grid, so small discrepancies are not
+blurred away.
 
 :func:`emit_plot_data` writes the empirical-vs-model table of a fit.  It
 takes the distance from the fit's report rather than recomputing it, and
@@ -16,7 +16,7 @@ formats all rows in one ``%`` operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,12 +35,11 @@ def _values(sample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GofResult:
-    """Uniform distance, where it is attained, and the sample size(s)."""
+    """Uniform distance, where it is attained, and the sample size."""
 
     ks_distance: float
     location: float
     m: int
-    m2: Optional[int] = None
 
 
 def ks_model(sample, params: ModelParams) -> GofResult:
@@ -60,19 +59,6 @@ def ks_model(sample, params: ModelParams) -> GofResult:
     per_point = np.maximum(np.abs(d_upper), np.abs(d_lower))
     at = int(np.argmax(per_point))
     return GofResult(float(per_point[at]), float(xs[at]), int(m))
-
-
-def ks_two_sample(a, b) -> GofResult:
-    """Exact sup |empirical d.f. of a - empirical d.f. of b| by a merged sweep."""
-    va = np.sort(_values(a))
-    vb = np.sort(_values(b))
-    merged = np.concatenate([va, vb])
-    merged.sort(kind="mergesort")
-    cdf_a = np.searchsorted(va, merged, side="right") / va.size
-    cdf_b = np.searchsorted(vb, merged, side="right") / vb.size
-    diff = np.abs(cdf_a - cdf_b)
-    at = int(np.argmax(diff))
-    return GofResult(float(diff[at]), float(merged[at]), int(va.size), int(vb.size))
 
 
 def tail_index(sample, k: int) -> float:

@@ -77,10 +77,10 @@ def _day_numbers(dates: List[str]) -> np.ndarray:
     Raises :class:`_DateError` at the first date, in order, that is not ten
     characters numpy reads as a day, or that does not follow the one before.
     """
-    days, n = _convert_prefix(functools.partial(np.array, dtype="datetime64[D]"), dates)
+    # the lengths first: numpy warns on some longer strings, such as a time zone
+    n = len(dates) if set(map(len, dates)) <= {10} else [len(d) == 10 for d in dates].index(False)
+    days, n = _convert_prefix(functools.partial(np.array, dtype="datetime64[D]"), dates[:n])
     bad = np.isnat(days)
-    if set(map(len, dates)) != {10}:
-        bad |= np.fromiter(map(len, dates[:n]), np.intp, n) != 10
     if bad.any():
         n = int(np.argmax(bad))
     days = days[:n].astype(np.int64)
@@ -245,10 +245,16 @@ def _table(text: str):
     w is the first row's cell count, cells those of the leading rows of w
     cells in one list, short the (index, count) of the first other row or
     None.  ``str`` methods split text without a quote or a lone CR alike.
+    A ``csv.Error``, such as a cell beyond ``csv.field_size_limit()``,
+    raises :class:`CsvFormatError` naming the reader's line.
     """
     plain = text.replace("\r\n", "\n")
     if '"' in text or "\r" in plain:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     else:
         lines = plain.split("\n")
         if lines[-1] == "":
@@ -304,7 +310,8 @@ def ingest_csv(path: str, missing_marker: str = "NA") -> PrecipSeries:
     skipped if its value cell is not a number at all.  Cells equal to
     ``missing_marker`` once stripped become missing days.  Rows are split as
     ``csv.reader`` splits them, and a blank line is a row of no cells.  A
-    row with another cell count than the first, a malformed, negative or
+    row ``csv.reader`` rejects (such as a cell beyond its field size limit)
+    or with another cell count than the first, a malformed, negative or
     infinite value, or a malformed, duplicate or backward date raises
     :class:`CsvFormatError` naming the first offending line.
     """

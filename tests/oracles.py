@@ -42,6 +42,20 @@ def ks_critical_two_sample(n: int, m: int, level: float = 0.01) -> float:
     return coefficient * math.sqrt((n + m) / (n * m))
 
 
+def ks_two_sample(a, b) -> float:
+    """Exact sup |empirical d.f. of a - empirical d.f. of b| over the pooled values."""
+    a, b = np.sort(a), np.sort(b)
+    merged = np.concatenate([a, b])
+    return float(
+        np.max(
+            np.abs(
+                np.searchsorted(a, merged, side="right") / a.size
+                - np.searchsorted(b, merged, side="right") / b.size
+            )
+        )
+    )
+
+
 def levy_cdf(x):
     """Distribution function of the alpha = 1/2 one-sided stable law.
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,40 @@ class TestSegmentCommand:
         plain = capsys.readouterr().out
         assert main(["segment", "--input", str(path)]) == 0
         assert capsys.readouterr().out == plain
+
+    def test_oversized_quoted_cell_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text('"' + "x" * 200_000 + '"\n')
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: field larger than field limit (131072)\n"
+
+
+class TestNoWarningBeforeTheError:
+    """Failing runs print their one ``error:`` line and no numpy warning before it."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return code, captured.err
+
+    def test_time_zone_date(self, tmp_path, capsys):
+        path = tmp_path / "tz.csv"
+        path.write_text("1980-01-01T00Z,1.0\n")
+        assert self._run(["segment", "--input", str(path)], capsys) == (
+            2, "error: line 1: cannot parse date '1980-01-01T00Z' (expected YYYY-MM-DD)\n")
+
+    @pytest.mark.parametrize("method, code", [("ls", 2), ("mle", 2), ("quantile", 3), ("all", 3)])
+    def test_overflowing_scale(self, method, code, capsys):
+        # ls and mle start from the least-squares fit, quantile and all from the quantile fit
+        prefix = "quantile fit produced invalid parameters: " if code == 3 else ""
+        argv = ["fit", "--input", SEED42_CSV, "--method", method, "--r", "1e308"]
+        assert self._run(argv, capsys) == (code, f"error: {prefix}lam must lie in (0.0, inf), got inf\n")
 
 
 class TestFitCommand:

@@ -568,6 +568,61 @@ class TestFitMle:
         assert _standard_errors(ModelParams(1.0, 1.0, 1.0), np.array(information), fix_r=True) is None
 
 
+def symmetric_with_eigenvalues(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q, and a random score."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2))
+    matrix = (q * eigenvalues) @ q.T
+    return 0.5 * (matrix + matrix.T), rng.normal(size=len(eigenvalues))
+
+
+def cholesky_doubling_shifts(information):
+    """The shifts 0, mu_1, 2 mu_1, ... with mu_1 = 1e-8 max|I|, up to the first
+    at which I + mu Id has a Cholesky factor."""
+    shifts = [0.0]
+    while True:
+        try:
+            np.linalg.cholesky(information + shifts[-1] * np.eye(len(information)))
+            return shifts
+        except np.linalg.LinAlgError:
+            shifts.append(2.0 * shifts[-1] or 1e-8 * np.max(np.abs(information)))
+
+
+spectra = st.tuples(
+    st.integers(2, 3),
+    st.lists(st.floats(0.0, math.log(1e6)), min_size=3, max_size=3),  # condition number <= 1e6
+    st.floats(-6.0, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestNewtonStep:
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra)
+    def test_positive_definite_information_takes_the_newton_step(self, spectrum):
+        n, log_w, scale, seed = spectrum
+        information, score = symmetric_with_eigenvalues(10.0 ** scale * np.exp(log_w[:n]), seed)
+        expected = np.linalg.solve(information, score)
+        step = estimation._newton_step(information, score)
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra, signs=st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_indefinite_information_takes_the_first_shift_with_a_cholesky_factor(self, spectrum, signs):
+        n, log_w, scale, seed = spectrum
+        signs[0] = True  # at least one eigenvalue below zero
+        w = np.where(signs[:n], -1.0, 1.0) * 10.0 ** scale * np.exp(log_w[:n])
+        information, score = symmetric_with_eigenvalues(w, seed)
+        shifts = cholesky_doubling_shifts(information)
+        # no shift in the sequence lands within rounding of an eigenvalue's negative
+        gap = 1e-6 * np.max(np.abs(information))
+        assume(all(abs(v + mu) >= gap for v in np.linalg.eigvalsh(information) for mu in shifts))
+        expected = np.linalg.solve(information + shifts[-1] * np.eye(n), score)
+        step = estimation._newton_step(information, score)
+        assert shifts[-1] > 0.0
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 class TestConsistencySweep:
     def test_error_decreases_with_sample_size(self):
         truth = ModelParams(0.85, 1.5, 1.2)

@@ -1,4 +1,5 @@
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -229,6 +230,12 @@ class TestIngestCsv:
         got = ingest_csv(str(path), missing_marker="999.9")
         assert np.array_equal(got.values, [1.0, np.nan, 0.5], equal_nan=True)
 
+    def test_oversized_quoted_cell_is_a_format_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1.0\n" + '"' + "x" * 200_000 + '"\n')
+        with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit"):
+            ingest_csv(str(path))
+
 
 class TestPrecipSeries:
     def test_rejects_negative_and_empty(self):
@@ -286,6 +293,19 @@ class TestCalendarDates:
         path.write_text("2001-01-01,1.0\n01/02/2001,2.0\n")
         with pytest.raises(CsvFormatError, match="line 2: cannot parse date '01/02/2001'"):
             ingest_csv(str(path))
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_time_zone_date_is_named_without_a_warning(self, tmp_path, late):
+        # numpy warns when it reads a time zone, so the date's length is checked first
+        dates = ["2001-01-01", "2001-01-02T00Z"] if late else ["2001-01-01T00Z", "2001-01-02"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^index {int(late)}: cannot parse date '{dates[late]}'"):
+                PrecipSeries(np.array([1.0, 2.0]), dates=dates)
+            path = tmp_path / "tz.csv"
+            path.write_text("".join(f"{d},1.0\n" for d in dates))
+            with pytest.raises(CsvFormatError, match=f"^line {int(late) + 1}: cannot parse date '{dates[late]}'"):
+                ingest_csv(str(path))
 
 
 class TestWetPeriodsJson:

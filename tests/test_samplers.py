@@ -32,24 +32,12 @@ from wetmax.samplers import RESTRICTED_REPRESENTATIONS
 from oracles import (
     ks_critical_one_sample,
     ks_critical_two_sample,
+    ks_two_sample,
     levy_cdf,
     negbin_odds_gamma_pair,
     one_sample_ks,
     stable_ratio_kanter,
 )
-
-
-def two_sample_ks(a, b):
-    a, b = np.sort(a), np.sort(b)
-    merged = np.concatenate([a, b])
-    return float(
-        np.max(
-            np.abs(
-                np.searchsorted(a, merged, side="right") / a.size
-                - np.searchsorted(b, merged, side="right") / b.size
-            )
-        )
-    )
 
 
 ALL_SAMPLER_CALLS = [
@@ -114,7 +102,7 @@ class TestGammaSampler:
         n = 10_000
         scaled = sample_gamma(GammaParams(0.6, 1.0), make_rng(2), size=n) / 3.0
         direct = sample_gamma(GammaParams(0.6, 3.0), make_rng(3), size=n)
-        assert two_sample_ks(scaled, direct) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(scaled, direct) < ks_critical_two_sample(n, n)
 
 
 class TestWeibullSampler:
@@ -134,7 +122,7 @@ class TestWeibullSampler:
         rng = make_rng(6)
         quotient = rng.standard_exponential(n) / sample_stable_onesided(0.7, rng, size=n)
         direct = sample_weibull(0.7, make_rng(7), size=n)
-        assert two_sample_ks(quotient, direct) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(quotient, direct) < ks_critical_two_sample(n, n)
 
 
 class TestStableSampler:
@@ -162,7 +150,7 @@ class TestStableSampler:
         s2 = sample_stable_onesided(alpha, rng, size=n)
         combined = (s1 + s2) / 2.0 ** (1.0 / alpha)
         fresh = sample_stable_onesided(alpha, make_rng(12), size=n)
-        assert two_sample_ks(combined, fresh) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(combined, fresh) < ks_critical_two_sample(n, n)
 
 
 class TestStableRatioSampler:
@@ -170,7 +158,7 @@ class TestStableRatioSampler:
         n = 10_000
         draws = sample_stable_ratio(0.6, make_rng(13), size=n)
         fresh = sample_stable_ratio(0.6, make_rng(14), size=n)
-        assert two_sample_ks(draws, 1.0 / fresh) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(draws, 1.0 / fresh) < ks_critical_two_sample(n, n)
 
     def test_median_at_one(self):
         n = 10_000
@@ -209,7 +197,7 @@ class TestStableRatioSampler:
         n = 20_000
         exact = sample_stable_ratio(alpha, make_rng(40, stream), size=n)
         composed = stable_ratio_kanter(alpha, make_rng(41, stream), size=n)
-        assert two_sample_ks(exact, composed) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(exact, composed) < ks_critical_two_sample(n, n)
 
     def test_inverts_the_ratio_law_at_one_uniform_per_variate(self):
         alpha, n = 0.6, 1000
@@ -243,7 +231,7 @@ class TestOddsSampler:
         n = 10_000
         scaled = 3.0 * sample_negbin_odds(0.4, 1.0, make_rng(20), size=n)
         direct = sample_negbin_odds(0.4, 3.0, make_rng(21), size=n)
-        assert two_sample_ks(scaled, direct) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(scaled, direct) < ks_critical_two_sample(n, n)
 
     def test_geometric_edge_is_point_mass(self):
         assert np.all(sample_negbin_odds(1.0, 2.5, make_rng(22), size=50) == 2.5)
@@ -257,7 +245,7 @@ class TestOddsSampler:
         n = 20_000
         exact = sample_negbin_odds(r, 1.5, make_rng(43, stream), size=n)
         composed = negbin_odds_gamma_pair(r, 1.5, make_rng(44, stream), size=n)
-        assert two_sample_ks(exact, composed) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(exact, composed) < ks_critical_two_sample(n, n)
 
     def test_one_beta_per_variate(self):
         r, mu, n = 0.4, 2.0, 1000
@@ -311,7 +299,7 @@ class TestLimitSampler:
         p = ModelParams(0.876, 1.0, 0.9)
         a = sample_limit(p, Representation.DIRECT, make_rng(28), size=n)
         b = sample_limit(p, Representation.FOLDED_NORMAL, make_rng(29), size=n)
-        assert two_sample_ks(a, b) < ks_critical_two_sample(n, n)
+        assert ks_two_sample(a, b) < ks_critical_two_sample(n, n)
 
     def test_mixed_exponential_vs_analytic_cdf(self):
         n = 100_000
@@ -330,7 +318,7 @@ class TestLimitSampler:
         critical = ks_critical_two_sample(n, n)
         for i, a in enumerate(tags):
             for b in tags[i + 1 :]:
-                assert two_sample_ks(draws[a], draws[b]) < critical, (a, b)
+                assert ks_two_sample(draws[a], draws[b]) < critical, (a, b)
 
     def test_moment_consistency(self):
         p = ModelParams(0.85, 1.5, 1.2)
