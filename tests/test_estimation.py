@@ -35,6 +35,7 @@ from wetmax import (
 import wetmax.estimation as estimation
 from wetmax.distributions import _log_odds
 from wetmax.estimation import (
+    _newton_step,
     _score_hessian,
     _solve_shape_equation,
     _standard_errors,
@@ -603,7 +604,7 @@ class TestNewtonStep:
         n, log_w, scale, seed = spectrum
         information, score = symmetric_with_eigenvalues(10.0 ** scale * np.exp(log_w[:n]), seed)
         expected = np.linalg.solve(information, score)
-        step = estimation._newton_step(information, score)
+        step = _newton_step(information, score)
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @settings(max_examples=200, deadline=None)
@@ -618,7 +619,7 @@ class TestNewtonStep:
         gap = 1e-6 * np.max(np.abs(information))
         assume(all(abs(v + mu) >= gap for v in np.linalg.eigvalsh(information) for mu in shifts))
         expected = np.linalg.solve(information + shifts[-1] * np.eye(n), score)
-        step = estimation._newton_step(information, score)
+        step = _newton_step(information, score)
         assert shifts[-1] > 0.0
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
 
