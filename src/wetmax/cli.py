@@ -220,18 +220,13 @@ def _fit_setup(args, duration_list):
 def _fit_method(method, sample, earlier, r_value, triple, tau_grid):
     """One method's FitReport; ``earlier`` maps the methods already fitted to theirs.
 
-    The MLE starts from the ``ls`` report when r is known and from the
-    quantile report when it is not, whenever that method was fitted before.
+    The MLE starts from the ``ls`` report when r is known, else from the
+    ``quantile`` one (over ``tau_grid``), taken from ``earlier`` or fitted here.
     """
     if method == "mle":
-        start = earlier.get("ls" if r_value is not None else "quantile")
-        if start is not None:
-            init = start.params
-        elif r_value is not None:
-            init = ModelParams(r_value, *fit_least_squares(sample, r_value))
-        else:
-            init = fit_quantile(sample, triple)
-        return fit_mle(sample, init, fix_r=r_value is not None)
+        base = "ls" if r_value is not None else "quantile"
+        start = earlier.get(base) or _fit_method(base, sample, earlier, r_value, triple, tau_grid)
+        return fit_mle(sample, start.params, fix_r=r_value is not None)
     if method == "ls":
         params = ModelParams(r_value, *fit_least_squares(sample, r_value))
     elif tau_grid is not None:
@@ -323,7 +318,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_quantile(args) -> int:
-    print(f"{limit_quantile(args.eps, _model_params_from(args)):.12g}")
+    with np.errstate(over="ignore"):  # the law's quantiles are finite: inf means overflow
+        value = limit_quantile(args.eps, _model_params_from(args))
+    if not np.isfinite(value):
+        raise ValueError(f"the quantile of order {args.eps!r} overflows a float for these parameters")
+    print(f"{value:.12g}")
     return 0
 
 

@@ -177,18 +177,25 @@ def limit_cdf(x, params: ModelParams):
     return _maybe_scalar(out, x)
 
 
+def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
+    """(log density, log pi, gamma log x) of the limit law at log x, unchecked.
+
+    With t = lam x^gamma and pi = t / (1 + t), the log density is
+    log(r gamma) - log x + r log pi - (log t - log pi), log pi = -log1p(1/t).
+    With no r log lam term it stays exact as r and lam grow together towards
+    the Frechet law, where r log pi tends to -(r/lam) x^-gamma.
+    """
+    gl = gamma * logx
+    log_t = np.log(lam) + gl
+    log_pi = -np.logaddexp(0.0, -log_t)
+    return np.log(r * gamma) - logx + r * log_pi - (log_t - log_pi), log_pi, gl
+
+
 def limit_log_pdf(x, params: ModelParams):
-    """Log density of the limit law, finite for every x > 0."""
+    """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`."""
     arr = _as_float_array(x, "x", low=0.0, strict=True)
-    r, lam, gamma = params.r, params.lam, params.gamma
-    logx = np.log(arr)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (
-            np.log(r * gamma)
-            + r * np.log(lam)
-            + (gamma * r - 1.0) * logx
-            - (r + 1.0) * np.logaddexp(0.0, np.log(lam) + gamma * logx)
-        )
+        out = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)[0]
     return _maybe_scalar(out, x)
 
 

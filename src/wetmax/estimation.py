@@ -37,7 +37,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma
 
 from . import gof
-from .distributions import ModelParams, NegBinParams, _checked, _log_odds
+from .distributions import ModelParams, NegBinParams, _checked, _log_odds, _log_pdf_terms
 
 
 class EstimationError(RuntimeError):
@@ -273,30 +273,24 @@ def fit_least_squares(sample: MaximaSample, r: float):
 def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: bool):
     """Log likelihood, score and Hessian in u = (log r, log lam, log gamma).
 
-    The log likelihood sums :func:`~wetmax.distributions.limit_log_pdf`'s
-    expression, term for term, so the two agree to the last bit.  With
-    t = lam x^gamma, L = log x, pi = t/(1+t), q = pi (1-pi) and
-    a = r - (r+1) pi, the score is (m + r sum log pi, sum a,
-    m + sum gamma L a); the Hessian follows from d pi / d log lam = q and
-    d pi / d log gamma = gamma L q.  The sums of a and 1 - pi, plain and
-    weighted by gamma L, follow from those of pi and gamma L, so they need
-    no arrays of their own.  With ``fix_r`` the log r row and column are
-    dropped.  ``logx`` holds log x for the sample.
+    All three come from :func:`~wetmax.distributions._log_pdf_terms`, so the
+    log likelihood is the sum of ``limit_log_pdf`` to the last bit.  With
+    L = log x, s = 1 - pi = -expm1(log pi), q = pi s and a = r s - pi, the
+    score is (m + r sum log pi, sum a, m + sum gamma L a); d log pi / d log lam
+    = s and d s / d log lam = -q give the Hessian.  Sums of s are direct, so
+    no total is subtracted from a nearly equal one.  With ``fix_r`` the log r
+    row and column are dropped.  ``logx`` holds log x for the sample.
     """
     m = logx.size
-    gl = gamma * logx
-    log_t = np.log(lam) + gl
-    softplus = np.logaddexp(0.0, log_t)  # log(1 + t)
-    ll = float(np.sum(np.log(r * gamma) + r * np.log(lam) + (gamma * r - 1.0) * logx
-                      - (r + 1.0) * softplus))
-    log_pi = log_t - softplus
-    pi = np.exp(log_pi)
-    q = pi * (1.0 - pi)
+    log_pdf, log_pi, gl = _log_pdf_terms(logx, r, lam, gamma)
+    ll = float(np.sum(log_pdf))
+    pi, s = np.exp(log_pi), -np.expm1(log_pi)
+    q = pi * s
     gl_q = gl * q
-    sum_log_pi, sum_pi, sum_gl, gl_pi = np.sum(log_pi), np.sum(pi), np.sum(gl), np.dot(gl, pi)
-    gl_a = r * sum_gl - (r + 1.0) * gl_pi
-    score = np.array([m + r * sum_log_pi, m * r - (r + 1.0) * sum_pi, m + gl_a])
-    aa, ab, ac = r * sum_log_pi, r * (m - sum_pi), r * (sum_gl - gl_pi)
+    sum_log_pi, sum_s, gl_s = np.sum(log_pi), np.sum(s), np.dot(gl, s)
+    gl_a = r * gl_s - np.dot(gl, pi)
+    score = np.array([m + r * sum_log_pi, r * sum_s - np.sum(pi), m + gl_a])
+    aa, ab, ac = r * sum_log_pi, r * sum_s, r * gl_s
     bb, bc = -(r + 1.0) * np.sum(q), -(r + 1.0) * np.sum(gl_q)
     cc = gl_a - (r + 1.0) * np.dot(gl, gl_q)
     hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])

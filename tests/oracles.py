@@ -303,11 +303,26 @@ def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
     return 0.5 * (lo + hi)
 
 
+def log_pdf_textbook(x, params: ModelParams):
+    """Log density log(r gamma) + r log lam + (gamma r - 1) log x - (r + 1) log1p(lam x^gamma).
+
+    The independent reference for :func:`wetmax.limit_log_pdf`, which
+    evaluates the same density through log pi = -log1p(1/t).  Its r log lam
+    term loses precision as r and lam grow together, so it is a reference
+    for moderate parameters only.
+    """
+    logx = np.log(np.asarray(x, dtype=float))
+    r, lam, gamma = params.r, params.lam, params.gamma
+    return (math.log(r * gamma) + r * math.log(lam) + (gamma * r - 1.0) * logx
+            - (r + 1.0) * np.log1p(lam * np.exp(gamma * logx)))
+
+
 def log_likelihood(values, params: ModelParams) -> float:
     """Sample log likelihood, summed from :func:`wetmax.limit_log_pdf`.
 
-    The reference for the log likelihood that ``fit_mle``'s kernel computes
-    from log x with the same expression.
+    ``fit_mle``'s kernel sums the same array, so the two agree to the last
+    bit; this is no independent check of the density, which
+    :func:`log_pdf_textbook` is.
     """
     return float(np.sum(limit_log_pdf(values, params)))
 

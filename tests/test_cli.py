@@ -118,6 +118,11 @@ class TestNoWarningBeforeTheError:
         argv = ["fit", "--input", SEED42_CSV, "--method", method, "--r", "1e308"]
         assert self._run(argv, capsys) == (code, f"error: {prefix}lam must lie in (0.0, inf), got inf\n")
 
+    def test_overflowing_quantile(self, capsys):
+        argv = ["quantile", "--r", "1e300", "--lambda", "1e300", "--gamma", "1e-300", "--eps", "0.5"]
+        assert self._run(argv, capsys) == (
+            2, "error: the quantile of order 0.5 overflows a float for these parameters\n")
+
 
 class TestFitCommand:
     def test_ls_with_known_r_recovers_fixture_params(self, capsys):
@@ -197,6 +202,15 @@ class TestFitCommand:
             ["fit", "--input", SEED42_CSV, "--method", "quantile", "--tau-grid", "0.05,0.1,0.2"]
         ) == 0
         assert math.isfinite(json.loads(capsys.readouterr().out)["reports"]["quantile"]["r"])
+
+    def test_mle_alone_starts_from_the_tau_scan(self, capsys):
+        # as in --method all, the MLE starts from the quantile fit over the grid
+        argv = ["fit", "--input", SEED42_CSV, "--min-wet-days", "3", "--tau-grid", "0.05,0.1,0.2"]
+        reports = []
+        for method in ("mle", "all"):
+            assert main([*argv, "--method", method]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["reports"]["mle"])
+        assert reports[0] == reports[1]
 
     def test_json_round_trip(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -45,6 +45,7 @@ from oracles import (
     bisect_inverse,
     integrate_against_odds_density,
     integrate_against_prob_density,
+    log_pdf_textbook,
 )
 
 PARAM_SETS = [
@@ -209,6 +210,16 @@ class TestLimitPdf:
         assert limit_pdf(x, p) * x ** (1.0 + p.gamma) == pytest.approx(
             p.r * p.gamma / p.lam, rel=1e-4
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(ModelParams, st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
+    )
+    def test_log_pdf_matches_the_textbook_form(self, p, xs):
+        value = limit_log_pdf(np.array(xs), p)
+        error = np.abs(value - log_pdf_textbook(xs, p))
+        np.testing.assert_array_less(error, 1e-12 * (1.0 + np.abs(value)))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -510,12 +510,44 @@ class TestFitMle:
         report, _ = self._fit_with_kernel(monkeypatch, sample, truth, fix_r, flat_at_start)
         self._assert_same_maximum(sample, report, expected, fix_r)
 
+    @pytest.mark.parametrize("r, tol", [(1e9, 1e-8), (1e12, 1e-10)])
+    def test_log_likelihood_stays_exact_towards_the_frechet_law(self, r, tol):
+        # along lam = r/c the law tends to the Frechet law exp(-c x^-gamma);
+        # at the ridge sample's Frechet fit the two log likelihoods differ by
+        # about 0.92/r, so the Frechet one is the reference to within tol
+        values, c, gamma = self._ridge_sample().values, 0.7563693, 0.7077884
+        frechet = float(np.sum(math.log(c * gamma) - (gamma + 1.0) * np.log(values) - c * values ** -gamma))
+        ll_kernel, _, _ = _score_hessian(np.log(values), r, r / c, gamma, False)
+        assert abs(log_likelihood(values, ModelParams(r, r / c, gamma)) - frechet) <= tol
+        assert abs(ll_kernel - frechet) <= tol
+
+    def test_lam_score_tends_to_the_frechet_score(self):
+        # with y = c x^-gamma the lam score tends to sum y - m as r grows
+        values, c, gamma, r = self._ridge_sample().values, 0.7563693, 0.7077884, 1e12
+        _, score, _ = _score_hessian(np.log(values), r, r / c, gamma, False)
+        assert abs(score[1] - (np.sum(c * values ** -gamma) - values.size)) <= 1e-8
+
+    def test_r_free_fit_from_a_far_start_reaches_the_interior_maximum(self):
+        # a Newton step from this start tries r = 9.4e54, lam = 6.6e143; only
+        # a log likelihood that is exact out there rejects that trial point
+        truth = ModelParams(2.304913587627624, 1.5033427445670258, 1.399464251273976)
+        sample = MaximaSample(sample_limit(truth, Representation.DIRECT, make_rng(900, 78), size=2520))
+        report = fit_mle(sample, ModelParams(4.221145996961613, 1.4876583853454544, 0.7220466215364729))
+        assert report.converged is True
+        assert report.params.r < 10.0
+        assert report.log_likelihood == pytest.approx(fit_mle(sample, truth).log_likelihood, rel=1e-12)
+
+    @staticmethod
+    def _ridge_sample():
+        """Sample of 272 whose likelihood only levels off as r grows (ROADMAP item 1)."""
+        params = ModelParams(2.723676254650796, 2.702371904618805, 0.8057300462913457)
+        return MaximaSample(sample_limit(params, Representation.DIRECT, make_rng(10022), size=272))
+
     def test_r_free_ridge_sample_stops_above_the_trust_region_fit(self):
         # the likelihood of this sample only levels off as r grows (ROADMAP
         # item 1); the bound lies above the -634.0459961 at which a
         # trust-region search stopped after 19 steps
-        params = ModelParams(2.723676254650796, 2.702371904618805, 0.8057300462913457)
-        sample = MaximaSample(sample_limit(params, Representation.DIRECT, make_rng(10022), size=272))
+        sample = self._ridge_sample()
         start = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
         report = fit_mle(sample, start)
         assert report.iterations <= 2000
