@@ -318,10 +318,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_quantile(args) -> int:
-    with np.errstate(over="ignore"):  # the law's quantiles are finite: inf means overflow
+    with np.errstate(over="ignore"):  # the law's quantiles are positive and finite: 0 or inf is no answer
         value = limit_quantile(args.eps, _model_params_from(args))
-    if not np.isfinite(value):
-        raise ValueError(f"the quantile of order {args.eps!r} overflows a float for these parameters")
+    if not 0.0 < value < np.inf:
+        flow = "overflows" if value else "underflows"
+        raise ValueError(f"the quantile of order {args.eps!r} {flow} a float for these parameters")
     print(f"{value:.12g}")
     return 0
 

@@ -195,8 +195,9 @@ def limit_log_pdf(x, params: ModelParams):
     """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`."""
     arr = _as_float_array(x, "x", low=0.0, strict=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)[0]
-    return _maybe_scalar(out, x)
+        out, _, gl = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)
+    # where gamma log x overflows to -inf the terms give -inf - (-inf) = nan, and the density is 0
+    return _maybe_scalar(np.where(gl == -np.inf, -np.inf, out), x)
 
 
 def limit_pdf(x, params: ModelParams):

@@ -13,7 +13,9 @@ maximum of each run, found with array operations on the wet mask, so
 censoring at h is a mask over the run lengths.
 
 :func:`ingest_csv` is the one reader from CSV text to a series.  It splits
-rows as ``csv.reader`` does, converts dates and values as arrays, and looks
+rows as ``csv.reader`` does, with ``csv.reader`` itself only for text with
+a quote or a lone CR; other text is scanned once as UTF-8 bytes for its
+commas and newlines.  It converts dates and values as arrays, and looks
 for the first offending line only when a conversion or check fails.
 """
 
@@ -24,7 +26,7 @@ import functools
 import io
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -244,28 +246,33 @@ def _table(text: str):
 
     w is the first row's cell count, cells those of the leading rows of w
     cells in one list, short the (index, count) of the first other row or
-    None.  ``str`` methods split text without a quote or a lone CR alike.
-    A ``csv.Error``, such as a cell beyond ``csv.field_size_limit()``,
-    raises :class:`CsvFormatError` naming the reader's line.
+    None.  In text without a quote or a lone CR, where no UTF-8 byte of
+    another character is a comma or a newline, their byte positions give
+    the cell counts, and one ``str`` split the cells.  A ``csv.Error``,
+    such as a cell beyond ``csv.field_size_limit()``, raises
+    :class:`CsvFormatError` naming the reader's line.
     """
-    plain = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in plain:
+    body = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' in body or "\r" in body:
         reader = csv.reader(io.StringIO(text, newline=""))
         try:
             rows = list(reader)
         except csv.Error as exc:
             raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
-    else:
-        lines = plain.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        commas = set(map(str.count, lines, repeat(",")))
-        if len(commas) == 1 and (commas != {0} or "" not in lines):
-            return commas.pop() + 1, ",".join(lines).split(","), None
-        rows = [line.split(",") if line else [] for line in lines]
-    width = len(rows[0])
-    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    return width, list(chain.from_iterable(rows[:k])), (k, len(rows[k])) if k < len(rows) else None
+        width = len(rows[0])
+        k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        return width, list(chain.from_iterable(rows[:k])), (k, len(rows[k])) if k < len(rows) else None
+    body = body[:-1] if body.endswith("\n") else body
+    data = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
+    counts = np.bincount(np.searchsorted(ends, np.flatnonzero(data == 44)), minlength=ends.size + 1)
+    counts += np.diff(ends, prepend=-1, append=data.size) > 1  # a row of no bytes has no cells
+    width = int(counts[0])
+    short = np.flatnonzero(counts != width)
+    if not short.size:
+        return width, body.replace("\n", ",").split(",") if width else [], None
+    k = int(short[0])  # the leading rows by line, as byte offsets are not string offsets
+    return width, ",".join(body.split("\n", k)[:k]).split(",") if width else [], (k, int(counts[k]))
 
 
 def _readings(cells: List[str], missing_marker: str):

@@ -123,6 +123,12 @@ class TestNoWarningBeforeTheError:
         assert self._run(argv, capsys) == (
             2, "error: the quantile of order 0.5 overflows a float for these parameters\n")
 
+    def test_underflowing_quantile(self, capsys):
+        # the law's quantiles are positive, so 0 is never the answer either
+        argv = ["quantile", "--r", "1", "--lambda", "1e300", "--gamma", "1e-3", "--eps", "0.5"]
+        assert self._run(argv, capsys) == (
+            2, "error: the quantile of order 0.5 underflows a float for these parameters\n")
+
 
 class TestFitCommand:
     def test_ls_with_known_r_recovers_fixture_params(self, capsys):

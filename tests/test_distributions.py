@@ -221,6 +221,13 @@ class TestLimitPdf:
         error = np.abs(value - log_pdf_textbook(xs, p))
         np.testing.assert_array_less(error, 1e-12 * (1.0 + np.abs(value)))
 
+    def test_log_pdf_where_gamma_log_x_overflows(self):
+        # gamma log x is -inf at the left point and +inf at the right one
+        with np.errstate(all="raise"):
+            value = limit_log_pdf(np.array([1e-300, 1e300]), ModelParams(1.0, 1.0, 1e306))
+        assert value.tolist() == [-np.inf, -np.inf]
+        assert limit_pdf(1e-300, ModelParams(1.0, 1.0, 1e306)) == 0.0
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             limit_pdf(0.0, PARAM_SETS[0])

@@ -18,6 +18,7 @@ from wetmax import (
     ingest_csv,
     segment,
 )
+from wetmax.pipeline import _table
 
 
 def series(*values):
@@ -508,3 +509,49 @@ class TestIngestProperties:
                 row.append(cell)
         lines = [",".join(f'"{c}"' if quoted else c for c in row) for row in rows]
         agree(end.join(lines) + end, marker)
+
+
+def split_by_line(text):
+    """(w, cells, short) of plain text split line by line, a blank line a row of no cells."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows = [line.split(",") if line else [] for line in lines]
+    width = len(rows[0])
+    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    return width, [c for row in rows[:k] for c in row], (k, len(rows[k])) if k < len(rows) else None
+
+
+# what stdin gives for a byte that is no UTF-8, under surrogateescape
+PLAIN_CELL = st.text(st.sampled_from(["1", ".", "x", " ", "\t", "é", "\ufb00", "\U0001f327", "\udcff"]), max_size=3)
+
+
+@st.composite
+def plain_texts(draw):
+    """Text without a quote or a lone CR: rows of 1 to 3 cells, some of another width, some blank."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    row = st.one_of(st.just([]), st.lists(PLAIN_CELL, min_size=width, max_size=width),
+                    st.lists(PLAIN_CELL, min_size=1, max_size=4))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(map(",".join, rows)) + (end if draw(st.booleans()) else "")
+    assume(text)
+    return text
+
+
+class TestPlainScan:
+    """The byte scan of plain text against a split line by line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_texts())
+    def test_rows_and_cells_as_split_by_line(self, text):
+        assert _table(text) == split_by_line(text)
+
+    def test_short_row_after_a_wide_character(self):
+        # the leading rows are cut by line: a cut at the byte offset would add a cell here
+        text = "date,v\n2000-01-01,\u00e9\n2000-01-02,1\n2000-01-03\n"
+        assert _table(text) == (2, ["date", "v", "2000-01-01", "\u00e9", "2000-01-02", "1"], (3, 1))
+        assert agree(text) == "line 2: cannot parse value '\u00e9'"
+
+    def test_wide_character_cell_before_a_blank_line(self):
+        assert agree("v\n1\n\u00fc\n\n2\n") == "line 3: cannot parse value '\u00fc'"
