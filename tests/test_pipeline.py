@@ -522,8 +522,10 @@ def split_by_line(text):
     return width, [c for row in rows[:k] for c in row], (k, len(rows[k])) if k < len(rows) else None
 
 
-# what stdin gives for a byte that is no UTF-8, under surrogateescape
-PLAIN_CELL = st.text(st.sampled_from(["1", ".", "x", " ", "\t", "é", "\ufb00", "\U0001f327", "\udcff"]), max_size=3)
+# wide characters of two to four UTF-8 bytes, and the lone surrogate that stdin
+# gives, under surrogateescape, for a byte that is no UTF-8
+PLAIN_CELL = st.text(st.sampled_from(["1", ".", "x", " ", "\t", "é", "\ufb00", "\U0001f327", "\udcff"]),
+                     max_size=3)
 
 
 @st.composite
