@@ -2,15 +2,15 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
     python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_<n>.json \\
-        [--seed-base 701] [--trace-pairs 0] [--workdir DIR]
+        [--seed-base 701] [--workdir DIR]
 
 Both revisions are exported with ``git archive`` into a temporary directory,
 and the benchmark's ``command`` from ``BENCHMARK.json`` runs from the root of
 each export, so each side is measured on its committed files.  Every
 workload of the spec gets 10 pairs of ``run_seconds`` each; pair i runs both
 sides on seed ``seed-base + i``, the parent first in even pairs and the
-change first in odd ones.  ``--trace-pairs`` adds that many traced pairs per
-workload, for the per-layer metrics.  Each export also runs the tier-1
+change first in odd ones.  The first ``TRACE_PAIRS`` seeds run once more as
+traced pairs, for the per-layer metrics.  Each export also runs the tier-1
 test suite once, ``python -m pytest -q --continue-on-collection-errors
 --durations=0`` with ``src`` on ``PYTHONPATH``, for its wall time, its
 outcome counts and the time of acceptance criterion 03, its slowest test.
@@ -40,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACE_PAIRS = 2
 SUITE = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0", "-p", "no:cacheprovider"]
 CRITERION_03 = "tests/test_acceptance.py::test_criterion_03_representation_equivalence"
 
@@ -174,12 +175,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="git revision of the change (default HEAD)")
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_13.json")
     parser.add_argument("--seed-base", type=int, default=701)
-    parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--workdir", default=None, help="where the exports go (default: system temp)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-    doc = {"seconds": spec["run_seconds"], "pairs": PAIRS, "trace_pairs": args.trace_pairs,
+    doc = {"seconds": spec["run_seconds"], "pairs": PAIRS, "trace_pairs": TRACE_PAIRS,
            "host": {"node": platform.node(), "machine": platform.machine(), "system": platform.system()},
            "workloads": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
@@ -196,12 +196,11 @@ def main(argv=None) -> int:
             entry = {"seeds": seeds, "checks": checks(lines),
                      "end_to_end": summarize(lines["parent"], lines["change"], spec["end_to_end"])}
             doc["env"] = lines["change"][-1]["env"]
-            if args.trace_pairs:
-                traced_seeds = seeds[:args.trace_pairs]
-                traced = run_pairs(spec, trees, workload, traced_seeds, 1)
-                entry["traced_seeds"] = traced_seeds
-                entry["traced_checks"] = checks(traced)
-                entry["per_layer"] = summarize(traced["parent"], traced["change"], spec["per_layer"])
+            traced_seeds = seeds[:TRACE_PAIRS]
+            traced = run_pairs(spec, trees, workload, traced_seeds, 1)
+            entry["traced_seeds"] = traced_seeds
+            entry["traced_checks"] = checks(traced)
+            entry["per_layer"] = summarize(traced["parent"], traced["change"], spec["per_layer"])
             doc["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         doc["tier1"] = {side: run_suite(trees[side]) for side in SIDES}

@@ -146,15 +146,12 @@ class NegBinParams:
 # argument handling
 
 
-def _as_float_array(x, name, low=None, strict=False):
+def _as_float_array(x, strict=False):  # checked to be >= 0, or > 0 when strict
     arr = np.asarray(x, dtype=float)
-    if low is not None:
-        bad = ~(arr > low) if strict else ~(arr >= low)
-        if np.any(bad):
-            if np.isnan(arr).any():
-                raise ValueError(f"{name} must not be NaN")
-            op = ">" if strict else ">="
-            raise ValueError(f"{name} must be {op} {low}, got {float(np.min(arr))!r}")
+    if not np.all(arr > 0.0 if strict else arr >= 0.0):
+        if np.isnan(arr).any():
+            raise ValueError("x must not be NaN")
+        raise ValueError(f"x must be {'>' if strict else '>='} 0.0, got {float(np.min(arr))!r}")
     return arr
 
 
@@ -168,7 +165,7 @@ def _maybe_scalar(out, x):
 
 def limit_cdf(x, params: ModelParams):
     """Distribution function (lam x^gamma / (1 + lam x^gamma))^r for x >= 0."""
-    arr = _as_float_array(x, "x", low=0.0)
+    arr = _as_float_array(x)
     # (t/(1+t))^r written as exp(-r*log1p(1/t)); exact 0 at t=0, exact 1 at
     # t=inf, so x**gamma overflowing to inf still lands on the right value
     with np.errstate(divide="ignore", over="ignore"):
@@ -193,7 +190,7 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
 
 def limit_log_pdf(x, params: ModelParams):
     """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`."""
-    arr = _as_float_array(x, "x", low=0.0, strict=True)
+    arr = _as_float_array(x, strict=True)
     with np.errstate(over="ignore", invalid="ignore"):
         out, _, gl = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)
     # where gamma log x overflows to -inf the terms give -inf - (-inf) = nan, and the density is 0
@@ -251,7 +248,7 @@ def limit_moment(delta: float, params: ModelParams) -> float:
 
 def gamma_pdf(x, params: GammaParams):
     """Gamma density with shape r and rate lam."""
-    arr = _as_float_array(x, "x", low=0.0)
+    arr = _as_float_array(x)
     r, lam = params.r, params.lam
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(r * np.log(lam) - gammaln(r) + (r - 1.0) * np.log(arr) - lam * arr)
@@ -262,7 +259,7 @@ def gamma_pdf(x, params: GammaParams):
 
 def gg_pdf(x, params: GGParams):
     """Generalized gamma density |gamma| lam^r x^(gamma r - 1) e^(-lam x^gamma) / Gamma(r)."""
-    arr = _as_float_array(x, "x", low=0.0, strict=True)
+    arr = _as_float_array(x, strict=True)
     r, gamma, lam = params.r, params.gamma, params.lam
     out = np.exp(
         np.log(abs(gamma))
@@ -277,7 +274,7 @@ def gg_pdf(x, params: GGParams):
 def weibull_cdf(x, gamma: float):
     """Weibull distribution function 1 - exp(-x^gamma) for x >= 0."""
     gamma = _checked("gamma", gamma)
-    arr = _as_float_array(x, "x", low=0.0)
+    arr = _as_float_array(x)
     return _maybe_scalar(-np.expm1(-(arr ** gamma)), x)
 
 
@@ -357,7 +354,7 @@ def stable_ratio_density(x, alpha: float):
     distribution, equivalently v(x) = v(1/x) / x^2.
     """
     alpha = _checked("alpha", alpha, 0.0, 1.0)
-    arr = _as_float_array(x, "x", low=0.0, strict=True)
+    arr = _as_float_array(x, strict=True)
     xa = arr ** alpha
     out = np.sin(np.pi * alpha) * arr ** (alpha - 1.0) / (
         np.pi * (1.0 + xa * xa + 2.0 * xa * np.cos(np.pi * alpha))
@@ -386,7 +383,7 @@ def snedecor_fisher_density(x, r: float):
     for Q with this density.
     """
     r = _checked("r", r)
-    arr = _as_float_array(x, "x", low=0.0)
+    arr = _as_float_array(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(
             (r + 1.0) * np.log(r)

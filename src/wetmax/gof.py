@@ -46,7 +46,9 @@ def ks_model(sample, params: ModelParams) -> GofResult:
     """Exact sup |empirical d.f. - model d.f.|.
 
     Evaluated over order statistics as max(|i/m - F(x_(i))|,
-    |(i-1)/m - F(x_(i))|), which is exact even with ties.
+    |(i-1)/m - F(x_(i))|), which is exact even with ties.  It is max(a, b)
+    bit for bit, a = i/m - F and b = F - (i-1)/m: rounding is monotone and
+    keeps (i-1)/m <= i/m, so a negative one is at most the other in size.
     """
     xs = getattr(sample, "sorted_values", None)  # a MaximaSample keeps its sorted copy
     if xs is None:
@@ -54,9 +56,7 @@ def ks_model(sample, params: ModelParams) -> GofResult:
     m = xs.size
     model = np.asarray(limit_cdf(xs, params))
     i = np.arange(1, m + 1) / m
-    d_upper = i - model
-    d_lower = model - (i - 1.0 / m)
-    per_point = np.maximum(np.abs(d_upper), np.abs(d_lower))
+    per_point = np.maximum(i - model, model - (i - 1.0 / m))
     at = int(np.argmax(per_point))
     return GofResult(float(per_point[at]), float(xs[at]), int(m))
 

@@ -14,15 +14,15 @@ censoring at h is a mask over the run lengths.
 
 :func:`ingest_csv` is the one reader from CSV text to a series.  It splits
 rows as ``csv.reader`` does, with ``csv.reader`` itself only for text with
-a quote or a lone CR; other text is scanned once as UTF-8 bytes for its
-commas and newlines.  It converts dates and values as arrays, and looks
-for the first offending line only when a conversion or check fails.
+a quote; other text, its CR and CRLF line ends made LF, is scanned once as
+UTF-8 bytes for its commas and newlines.  It converts each column once with
+``np.array``, and looks for the first offending line only when that
+conversion or a check fails.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import sys
 from dataclasses import dataclass, field
@@ -53,39 +53,38 @@ class _DateError(ValueError):
         super().__init__(f"index {index}: {self.problem}")
 
 
-def _convert_prefix(convert, items: list):
-    """``(convert(items[:k]), k)`` for the longest prefix ``convert`` takes without a ValueError.
+def _convert_prefix(items: list, dtype):
+    """``(np.array(items[:k], dtype=dtype), k)`` for the longest prefix numpy converts.
 
-    ``convert`` maps item by item; when the whole list fails, a bisection
-    finds the first item that does in about one more pass over the list.
+    numpy converts item by item (to ``float`` by Python's ``float``); when the
+    whole list fails, a bisection finds the first item that does in about
+    one more pass over the list.
     """
     try:
-        return convert(items), len(items)
+        return np.array(items, dtype=dtype), len(items)
     except ValueError:
         lo, hi = 0, len(items)  # items[:lo] convert, items[lo:hi] hold a failure
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            convert(items[lo:mid])
+            np.array(items[lo:mid], dtype=dtype)
             lo = mid
         except ValueError:
             hi = mid
-    return convert(items[:lo]), lo
+    return np.array(items[:lo], dtype=dtype), lo
 
 
 def _day_numbers(dates: List[str]) -> np.ndarray:
     """Day numbers of ISO ``YYYY-MM-DD`` dates, checked to increase strictly.
 
     Raises :class:`_DateError` at the first date, in order, that is not ten
-    characters numpy reads as a day, or that does not follow the one before.
+    characters numpy reads as a day (its NaT strings, ``""`` and ``"NaT"`` in
+    any case, are shorter), or that does not follow the one before.
     """
     # the lengths first: numpy warns on some longer strings, such as a time zone
     n = len(dates) if set(map(len, dates)) <= {10} else [len(d) == 10 for d in dates].index(False)
-    days, n = _convert_prefix(functools.partial(np.array, dtype="datetime64[D]"), dates[:n])
-    bad = np.isnat(days)
-    if bad.any():
-        n = int(np.argmax(bad))
-    days = days[:n].astype(np.int64)
+    days, n = _convert_prefix(dates[:n], "datetime64[D]")
+    days = days.astype(np.int64)
     backward = np.flatnonzero(np.diff(days) <= 0)
     if backward.size:
         raise _DateError(dates, int(backward[0]) + 1, backward=True)
@@ -110,8 +109,7 @@ class PrecipSeries:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("precipitation series must be nonempty")
-        observed = arr[~np.isnan(arr)]
-        if np.any(observed < 0.0) or np.any(np.isinf(observed)):
+        if np.any(arr < 0.0) or np.any(np.isinf(arr)):  # NaN, a missing day, fails both
             raise ValueError("precipitation values must be finite and >= 0")
         if self.dates is not None:
             if len(self.dates) != arr.size:
@@ -233,27 +231,19 @@ def build_maxima(wp: WetPeriods, censoring: CensoringSpec | int = CensoringSpec(
     return MaximaSample(kept)
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def _table(text: str):
     """(w, cells, short): rows split as ``csv.reader`` does, a blank line a row of no cells.
 
     w is the first row's cell count, cells those of the leading rows of w
     cells in one list, short the (index, count) of the first other row or
-    None.  In text without a quote or a lone CR, where no UTF-8 byte of
-    another character is a comma or a newline, their byte positions give
-    the cell counts, and one ``str`` split the cells.  A ``csv.Error``,
+    None.  Only text with a quote goes to ``csv.reader``; a ``csv.Error``,
     such as a cell beyond ``csv.field_size_limit()``, raises
-    :class:`CsvFormatError` naming the reader's line.
+    :class:`CsvFormatError` naming the reader's line.  In other text, its
+    CRLF and CR line ends made LF, no UTF-8 byte of another character is a
+    comma or a newline: their byte positions give the cell counts, and one
+    ``str`` split the cells.
     """
-    body = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in body or "\r" in body:
+    if '"' in text:
         reader = csv.reader(io.StringIO(text, newline=""))
         try:
             rows = list(reader)
@@ -262,6 +252,7 @@ def _table(text: str):
         width = len(rows[0])
         k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
         return width, list(chain.from_iterable(rows[:k])), (k, len(rows[k])) if k < len(rows) else None
+    body = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     body = body[:-1] if body.endswith("\n") else body
     data = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
@@ -278,34 +269,25 @@ def _table(text: str):
 def _readings(cells: List[str], missing_marker: str):
     """(readings, None), or the readings before the first bad cell and its (index, error).
 
-    A cell is missing, NaN, when it equals the marker once stripped.  A
-    padded marker fails ``float`` unless the marker is a number, so for
-    other unpadded markers a first try takes the cells as they are.
+    A cell is missing, NaN, when it equals the marker once stripped.  The
+    column is converted once; only a cell that does not parse, or a NaN that
+    is not the marker, a negative or an infinite reading, sends it on to
+    find the bad cell.
     """
-    marker = missing_marker
-    if marker == marker.strip() and not _is_number(marker):
-        missing = cells.count(marker)
-        column = ["nan" if c == marker else c for c in cells] if missing else cells
-        try:
-            values = np.array(list(map(float, column)))
-        except ValueError:
-            values = None
-        if (values is not None and np.count_nonzero(np.isnan(values)) == missing
-                and not np.any(values < 0.0) and not np.any(np.isinf(values))):
-            return values, None
     cells = list(map(str.strip, cells))
-    missing = np.array([c == marker for c in cells], dtype=bool)
-    values, n = _convert_prefix(lambda c: np.array(list(map(float, c))),
-                                ["nan" if m else c for m, c in zip(missing, cells)])
-    infinite = ~np.isfinite(values) & ~missing[:n]
+    missing = cells.count(missing_marker)
+    column = ["nan" if c == missing_marker else c for c in cells] if missing else cells
+    values, n = _convert_prefix(column, float)
+    if n == len(cells) and np.count_nonzero(np.isfinite(values)) == n - missing and not np.any(values < 0.0):
+        return values, None
+    unmarked = np.array([c != missing_marker for c in cells[:n]], dtype=bool)
+    infinite = ~np.isfinite(values) & unmarked
     bad = np.flatnonzero(infinite | (values < 0.0))
     if bad.size:
         n = int(bad[0])
         error = "value {!r} is not finite" if infinite[n] else "negative precipitation {!r}"
-    elif n < len(cells):
-        error = "cannot parse value {!r}"
     else:
-        return values, None
+        error = "cannot parse value {!r}"
     return values[:n], (n, error.format(cells[n]))
 
 
@@ -338,7 +320,7 @@ def ingest_csv(path: str, missing_marker: str = "NA") -> PrecipSeries:
     # a first row whose value cell is neither a number nor the marker is a header;
     # a number that is not a reading (negative, infinite, NaN) is an error on line 1
     cell = cells[width - 1].strip()
-    header = cell != missing_marker and not _is_number(cell)
+    header = cell != missing_marker and not _convert_prefix([cell], float)[1]
     body = cells[width:] if header else cells
     if not body and short is None:
         raise CsvFormatError(f"{path!r} contains a header but no data rows")

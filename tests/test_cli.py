@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wetmax import ModelParams, Representation, cli, make_rng, sample_limit, simulate_prelimit_max
 from wetmax.cli import main
 
 from oracles import simulate_text_per_value
+from test_pipeline import MESSY_CELLS, MISSING_MARKERS, TWISTS, csv_texts, data_lines
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SEED42_CSV = str(FIXTURES / "precip_seed42.csv")
@@ -128,6 +134,39 @@ class TestNoWarningBeforeTheError:
         argv = ["quantile", "--r", "1", "--lambda", "1e300", "--gamma", "1e-3", "--eps", "0.5"]
         assert self._run(argv, capsys) == (
             2, "error: the quantile of order 0.5 underflows a float for these parameters\n")
+
+
+@st.composite
+def messy_inputs(draw):
+    """A well-formed file with up to three cells made messy, then a twist of its layout."""
+    lines = data_lines(draw(csv_texts())[0])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        cells = lines[k].split(",")
+        cells[draw(st.integers(min_value=0, max_value=len(cells) - 1))] = draw(st.sampled_from(MESSY_CELLS))
+        lines[k] = ",".join(cells)
+    twist = draw(st.sampled_from(sorted(TWISTS)))
+    return TWISTS[twist](lines, draw(st.integers(min_value=0, max_value=len(lines))))
+
+
+class TestContractOverMessyInput:
+    """On any input, exit 0 with nothing on stderr, or exit 2 or 3 with one ``error:`` line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_inputs(), st.sampled_from(MISSING_MARKERS))
+    def test_exit_code_and_stderr(self, text, marker):
+        for argv in (["segment", "--input", "-"], ["fit", "--input", "-", "--method", "ls", "--r", "0.85"]):
+            err = io.StringIO()
+            with warnings.catch_warnings(), mock.patch("sys.stdin", io.StringIO(text)), \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([*argv, f"--missing-marker={marker}"])
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert code in (2, 3)
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert err.getvalue().endswith("\n")
 
 
 class TestFitCommand:

@@ -22,6 +22,7 @@ from oracles import (
     ks_critical_one_sample,
     ks_critical_two_sample,
     ks_two_sample,
+    one_sample_ks,
     plot_data_per_value,
 )
 
@@ -101,6 +102,24 @@ class TestKsModel:
         i = np.arange(1, u.size + 1) / u.size
         uniform_ks = float(np.max(np.maximum(np.abs(i - u), np.abs(i - 1.0 / u.size - u))))
         assert direct == pytest.approx(uniform_ks, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(1e-6, 1e6), st.sampled_from([0.5, 1.0, 2.0])),
+                        min_size=1, max_size=50),
+        r=st.floats(0.05, 20.0),
+        lam=st.floats(1e-3, 1e3),
+        gamma=st.floats(0.1, 5.0),
+    )
+    def test_equals_the_distance_of_absolute_gaps(self, values, r, lam, gamma):
+        """max(a, b) of the signed gaps is max(|a|, |b|) bit for bit, and peaks at the same point."""
+        p = ModelParams(r, lam, gamma)
+        result = ks_model(values, p)
+        assert result.ks_distance == one_sample_ks(values, lambda x: limit_cdf(x, p))
+        xs = np.sort(values)
+        model = limit_cdf(xs, p)
+        i = np.arange(1, xs.size + 1) / xs.size
+        assert result.location == xs[np.argmax(np.maximum(np.abs(i - model), np.abs(i - 1.0 / xs.size - model)))]
 
 
 class TestKsTwoSample:

@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 from unittest import mock
@@ -18,6 +19,7 @@ from wetmax import (
     ingest_csv,
     segment,
 )
+from wetmax import pipeline
 from wetmax.pipeline import _table
 
 
@@ -308,6 +310,16 @@ class TestCalendarDates:
             with pytest.raises(CsvFormatError, match=f"^line {int(late) + 1}: cannot parse date '{dates[late]}'"):
                 ingest_csv(str(path))
 
+    @pytest.mark.parametrize("date", ["", "NaT", "nat"])
+    def test_date_numpy_reads_as_nat_is_named(self, tmp_path, date):
+        # numpy reads these as NaT, not as an error: their length rejects them
+        with pytest.raises(ValueError, match=f"^index 0: cannot parse date '{date}'"):
+            PrecipSeries([1.0], dates=[date])
+        path = tmp_path / "nat.csv"
+        path.write_text(f"date,v\n2000-01-01,1\n{date},2\n")
+        with pytest.raises(CsvFormatError, match=f"^line 3: cannot parse date '{date}' \\(expected YYYY-MM-DD\\)$"):
+            ingest_csv(str(path))
+
 
 class TestWetPeriodsJson:
     def test_shape(self):
@@ -436,6 +448,7 @@ TWISTS = {
 }
 
 
+MISSING_MARKERS = ["NA", "", "-999", "nan", "2.5", " NA "]
 VALUE_DEFECTS = ["-1.5", "abc", "inf", "nan"]
 DATE_DEFECTS = ["2001-02-30", "01/02/2001", "repeat date"]
 MESSY_CELLS = VALUE_DEFECTS + DATE_DEFECTS[:2] + [
@@ -492,7 +505,7 @@ class TestIngestProperties:
            st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(MESSY_CELLS),
                               st.integers(min_value=-1, max_value=2)), max_size=4),
            st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
-           st.sampled_from(["NA", "", "-999", "nan", "2.5", " NA "]))
+           st.sampled_from(MISSING_MARKERS))
     def test_messy_texts_agree(self, case, edits, end, quoted, marker):
         """Bad values, dates and cell counts, blank lines, padding, quotes and
         line ends together, under markers that are empty, padded or numbers."""
@@ -557,3 +570,33 @@ class TestPlainScan:
 
     def test_wide_character_cell_before_a_blank_line(self):
         assert agree("v\n1\n\u00fc\n\n2\n") == "line 3: cannot parse value '\u00fc'"
+
+
+def split_by_reader(text):
+    """(w, cells, short) of text split by ``csv.reader``."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    width = len(rows[0])
+    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    return width, [c for row in rows[:k] for c in row], (k, len(rows[k])) if k < len(rows) else None
+
+
+class TestReaderOnlyForQuotes:
+    """``csv.reader`` splits text with a quote, and no other."""
+
+    @pytest.mark.parametrize("text", [
+        "v\r1\r\r2\r",
+        "date,v\r2000-01-01,1\r2000-01-02,NA\r\n2000-01-03\r",
+        "v\n\r1\r\n2",
+        "\r\u00e9,1\r",
+    ])
+    def test_lone_cr_text_is_scanned(self, text):
+        expected = split_by_reader(text)
+        with mock.patch.object(pipeline.csv, "reader", side_effect=AssertionError("csv.reader called")):
+            assert _table(text) == expected
+
+    def test_quoted_text_with_a_lone_cr_is_read_once(self):
+        text = 'date,v\r"2000-01-01","1"\r2000-01-02,2\n'
+        expected = split_by_reader(text)
+        with mock.patch.object(pipeline.csv, "reader", side_effect=csv.reader) as reader:
+            assert _table(text) == expected
+        assert reader.call_count == 1
