@@ -178,14 +178,18 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
     """(log density, log pi, gamma log x) of the limit law at log x, unchecked.
 
     With t = lam x^gamma and pi = t / (1 + t), the log density is
-    log(r gamma) - log x + r log pi - (log t - log pi), log pi = -log1p(1/t).
-    With no r log lam term it stays exact as r and lam grow together towards
-    the Frechet law, where r log pi tends to -(r/lam) x^-gamma.
+    (log(r gamma) - log x) + (r log pi - (log t - log pi)), and
+    log pi = -log1p(1/t) = -(max(-log t, 0) + log1p(exp(-|log t|))), the
+    formula of ``-np.logaddexp(0, -log t)`` written in numpy's vectorised
+    ``exp`` and ``log1p``, which are several times faster than its
+    per-element loop.  With no r log lam term the density stays exact as r
+    and lam grow together towards the Frechet law, where r log pi tends to
+    -(r/lam) x^-gamma.
     """
     gl = gamma * logx
     log_t = np.log(lam) + gl
-    log_pi = -np.logaddexp(0.0, -log_t)
-    return np.log(r * gamma) - logx + r * log_pi - (log_t - log_pi), log_pi, gl
+    log_pi = -(np.maximum(-log_t, 0.0) + np.log1p(np.exp(-np.abs(log_t))))
+    return (np.log(r * gamma) - logx) + (r * log_pi - (log_t - log_pi)), log_pi, gl
 
 
 def limit_log_pdf(x, params: ModelParams):

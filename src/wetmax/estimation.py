@@ -299,21 +299,62 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     return ll, score, hessian
 
 
+def _padded(matrix: np.ndarray) -> list:
+    """``matrix`` as a 3 x 3 list of floats; a 2 x 2 one (r fixed) first gets a unit row and column.
+
+    The unit pivot and the zeros round exactly, so a factor or solve of the
+    padded matrix equals that of the 2 x 2 one in its last two entries, and
+    its first entry belongs to no parameter.
+    """
+    a = matrix.tolist()
+    return [[1.0, 0.0, 0.0], [0.0, *a[0]], [0.0, *a[1]]] if len(a) == 2 else a
+
+
+def _cholesky(a: list, mu: float = 0.0):
+    """Lower Cholesky factor (l00, l10, l11, l20, l21, l22) of a + mu Id, or None where it has none.
+
+    ``a`` is a symmetric 3 x 3 list of rows, of which only the lower
+    triangle is read.  A pivot that is not > 0, NaN included, means that
+    a + mu Id is not positive definite.  In plain floats this costs a small
+    fraction of a numpy ``linalg`` call.
+    """
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    pivot = a00 + mu
+    if not pivot > 0.0:
+        return None
+    l00 = math.sqrt(pivot)
+    l10, l20 = a10 / l00, a20 / l00
+    pivot = a11 + mu - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (a21 - l20 * l10) / l11
+    pivot = a22 + mu - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return None
+    return l00, l10, l11, l20, l21, math.sqrt(pivot)
+
+
 def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) -> Optional[dict]:
     """Delta-method standard errors from the observed information in log space.
 
     The covariance of u = log theta is the inverse of ``information`` (the
-    negative Hessian); with I = V diag(w) V^T, var u_i = sum_k V_ik^2 / w_k
-    and se(theta_i) = theta_i sqrt(var u_i).  With ``fix_r`` the ``r`` entry
-    is None.  Returns None unless every eigenvalue is > 0 and every error
+    negative Hessian).  With its Cholesky factor I = L L^T and M = L^-1,
+    var u_i is the sum of M_ki^2 over the rows k, and
+    se(theta_i) = theta_i sqrt(var u_i).  With ``fix_r`` the ``r`` entry is
+    None.  Returns None when I has no Cholesky factor or an error is not
     finite, so that no NaN reaches a report.
     """
-    w, v = np.linalg.eigh(information)
-    if not np.all(w > 0.0):
+    low = _cholesky(_padded(information))
+    if low is None:
         return None
-    variances = (v * v) @ (1.0 / w)
-    fitted = list(zip(("r", "lambda", "gamma"), (params.r, params.lam, params.gamma)))[1 if fix_r else 0:]
-    se = {name: theta * math.sqrt(var) for (name, theta), var in zip(fitted, variances)}
+    l00, l10, l11, l20, l21, l22 = low
+    m21 = -l21 / (l11 * l22)
+    m10 = -l10 / (l00 * l11)
+    m20 = -(l20 / l00 + l21 * m10) / l22
+    variances = (1.0 / l00**2 + m10 * m10 + m20 * m20, 1.0 / l11**2 + m21 * m21, 1.0 / l22**2)
+    fitted = zip(("r", "lambda", "gamma"), (params.r, params.lam, params.gamma), variances)
+    se = {name: theta * math.sqrt(var) for name, theta, var in list(fitted)[1 if fix_r else 0:]}
     if not all(map(math.isfinite, se.values())):
         return None
     return {"r": None, **se}
@@ -322,16 +363,29 @@ def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) 
 def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Solve (I + mu Id) step = score, with mu = 0 when I is positive definite.
 
-    One eigendecomposition I = V diag(w) V^T gives the test, the shift and
-    the step.  While w_min + mu <= 0, mu starts at 1e-8 max|I_ij| and
-    doubles, a Levenberg-Marquardt shift that turns the step into an ascent
-    direction.  The step is V ((score^T V) / (w + mu)).
+    mu is 0 when I has a Cholesky factor; otherwise it starts at
+    1e-8 max|I_ij| and doubles until I + mu Id has one, a
+    Levenberg-Marquardt shift that turns the step into an ascent direction.
+    The factor L L^T = I + mu Id, in plain floats, gives the step by one
+    forward and one back substitution.  An I that no finite shift makes
+    positive definite (one with a NaN entry) gives a NaN step.
     """
-    w, v = np.linalg.eigh(information)
-    mu = 0.0
-    while w[0] + mu <= 0.0:
+    a = _padded(information)
+    low, mu = _cholesky(a), 0.0
+    while low is None and mu < math.inf:
         mu = 2.0 * mu or 1e-8 * float(np.max(np.abs(information))) or 1e-8  # 1e-8 where I = 0
-    return v @ ((score @ v) / (w + mu))
+        low = _cholesky(a, mu)
+    if low is None:
+        return np.full(score.size, math.nan)
+    l00, l10, l11, l20, l21, l22 = low
+    b0, b1, b2 = [0.0, *score.tolist()] if score.size == 2 else score.tolist()
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    y2 = (b2 - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return np.array([x0, x1, x2][3 - score.size:])
 
 
 def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
@@ -341,10 +395,11 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
     log gamma) or over the last two with ``fix_r``, which keeps every
     iterate strictly positive without constraints.  Each point costs one
     evaluation of the exact log likelihood, score and Hessian and one
-    ``eigh`` of the observed information I = -Hessian.  While the score's
-    norm is at least gtol = 1e-6 m, for a sample of size m, and for at most
-    2000 steps, the step solves I step = score, shifted where I is not
-    positive definite (see :func:`_newton_step`), and is halved until the
+    Cholesky factor, in plain floats, of the observed information
+    I = -Hessian.  While the score's norm is at least gtol = 1e-6 m, for a
+    sample of size m, and for at most 2000 steps, the step solves
+    I step = score, shifted where I has no Cholesky factor (see
+    :func:`_newton_step`), and is halved until the
     log likelihood rises strictly.  A trial point where exp(u) overflows or
     underflows, or where the log likelihood, score or Hessian is not finite,
     counts as a fall; one ``np.errstate`` keeps numpy quiet for the fit.

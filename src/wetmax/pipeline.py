@@ -241,7 +241,10 @@ def _table(text: str):
     :class:`CsvFormatError` naming the reader's line.  In other text, its
     CRLF and CR line ends made LF, no UTF-8 byte of another character is a
     comma or a newline: their byte positions give the cell counts, and one
-    ``str`` split the cells.
+    ``str`` split the cells.  A cell has at least as many bytes as
+    characters, so only a row of more bytes than the field size limit is
+    split on its own to find a cell beyond it, which raises the message
+    ``csv.reader`` gives.
     """
     if '"' in text:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -257,7 +260,14 @@ def _table(text: str):
     data = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
     counts = np.bincount(np.searchsorted(ends, np.flatnonzero(data == 44)), minlength=ends.size + 1)
-    counts += np.diff(ends, prepend=-1, append=data.size) > 1  # a row of no bytes has no cells
+    spans = np.diff(ends, prepend=-1, append=data.size)  # each row's bytes and its newline
+    counts += spans > 1  # a row of no bytes has no cells
+    limit = csv.field_size_limit()
+    if spans.max() > limit + 1:  # a cell of more characters than the limit has more bytes too
+        lines = body.split("\n")
+        for i in np.flatnonzero(spans > limit + 1).tolist():
+            if max(map(len, lines[i].split(","))) > limit:
+                raise CsvFormatError(f"line {i + 1}: field larger than field limit ({limit})")
     width = int(counts[0])
     short = np.flatnonzero(counts != width)
     if not short.size:

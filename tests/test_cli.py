@@ -98,6 +98,14 @@ class TestSegmentCommand:
         assert captured.out == ""
         assert captured.err == "error: line 1: field larger than field limit (131072)\n"
 
+    def test_oversized_unquoted_cell_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("v\n1\n" + "x" * 200_000 + "\n")
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: field larger than field limit (131072)\n"
+
 
 class TestNoWarningBeforeTheError:
     """Failing runs print their one ``error:`` line and no numpy warning before it."""

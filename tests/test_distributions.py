@@ -40,6 +40,7 @@ from wetmax import (
     stable_ratio_density,
     weibull_cdf,
 )
+from wetmax.distributions import _log_pdf_terms
 
 from oracles import (
     bisect_inverse,
@@ -220,6 +221,22 @@ class TestLimitPdf:
         value = limit_log_pdf(np.array(xs), p)
         error = np.abs(value - log_pdf_textbook(xs, p))
         np.testing.assert_array_less(error, 1e-12 * (1.0 + np.abs(value)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.floats(-745.0, 745.0) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        min_size=1, max_size=50,
+    ))
+    def test_log_pi_is_the_logaddexp_value(self, log_t):
+        # with lam = gamma = 1 the helper's log t is log x itself
+        log_t = np.array(log_t)
+        with np.errstate(all="ignore"):
+            _, log_pi, _ = _log_pdf_terms(log_t, 1.0, 1.0, 1.0)
+            expected = -np.logaddexp(0.0, -log_t)
+        finite = np.isfinite(expected)
+        np.testing.assert_array_equal(log_pi[~finite], expected[~finite])  # inf and NaN alike
+        gap = np.abs(log_pi[finite] - expected[finite])
+        assert np.all(gap <= 4.0 * np.spacing(np.abs(expected[finite])))
 
     def test_log_pdf_where_gamma_log_x_overflows(self):
         # gamma log x is -inf at the left point and +inf at the right one

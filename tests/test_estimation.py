@@ -655,6 +655,34 @@ class TestNewtonStep:
         assert shifts[-1] > 0.0
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_information_with_a_nan_takes_a_nan_step(self, n):
+        # no shift makes such an I positive definite; the step is NaN, which
+        # fit_mle's loop stops on, and the shift loop ends
+        information = np.eye(n)
+        information[-1, -1] = math.nan
+        assert np.isnan(_newton_step(information, np.ones(n))).all()
+
+
+class TestStandardErrors:
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra, signs=st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_are_the_inverse_information_or_none_without_a_cholesky_factor(self, spectrum, signs):
+        n, log_w, scale, seed = spectrum
+        w = np.where(signs[:n], -1.0, 1.0) * 10.0 ** scale * np.exp(log_w[:n])
+        information, _ = symmetric_with_eigenvalues(w, seed)
+        params = ModelParams(0.85, 1.5, 1.2)
+        se = _standard_errors(params, information, fix_r=n == 2)
+        try:
+            np.linalg.cholesky(information)
+        except np.linalg.LinAlgError:
+            assert se is None
+            return
+        theta = np.array([params.r, params.lam, params.gamma][3 - n:])
+        expected = theta * np.sqrt(np.diag(np.linalg.inv(information)))
+        np.testing.assert_allclose([se[name] for name in ("r", "lambda", "gamma")[3 - n:]], expected, rtol=1e-10)
+        assert (se["r"] is None) == (n == 2)
+
 
 class TestConsistencySweep:
     def test_error_decreases_with_sample_size(self):

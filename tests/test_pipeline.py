@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import warnings
@@ -238,6 +239,38 @@ class TestIngestCsv:
         path.write_text("1.0\n" + '"' + "x" * 200_000 + '"\n')
         with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit"):
             ingest_csv(str(path))
+
+    def test_oversized_unquoted_cell_is_a_format_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("v\n1\n" + "x" * 200_000 + "\n")
+        with pytest.raises(CsvFormatError, match=r"^line 3: field larger than field limit \(131072\)$"):
+            ingest_csv(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("1\n" + "9" * 11, 2),                      # a cell beyond the limit
+        ("1\n" + "9" * 10 + "\n2\n" + "9" * 11, 4),  # one at the limit, then one beyond it
+        ("1\n" + ",".join("1" * 8) + "\n" + "9" * 11, 3),  # more bytes than the limit in short cells
+        ("1\n" + "\u00e9" * 10, None),              # more bytes, not more characters, than the limit
+        ("1\n" + "\u00e9" * 11, 2),
+        ("1\n" + "9" * 10 + "\n2,3\n", None),
+    ])
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+    def test_field_size_limit_as_the_reader_applies_it(self, text, line, ends):
+        # the byte scan raises where csv.reader does, with its message, under the limit set now
+        text = text.replace("\n", ends)
+        limit = csv.field_size_limit(10)
+        try:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            with pytest.raises(csv.Error) if line else contextlib.nullcontext():
+                list(reader)
+            if line is None:
+                _table(text)
+            else:
+                assert reader.line_num == line
+                with pytest.raises(CsvFormatError, match=rf"^line {line}: field larger than field limit \(10\)$"):
+                    _table(text)
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestPrecipSeries:
