@@ -310,7 +310,7 @@ def _padded(matrix: np.ndarray) -> list:
     return [[1.0, 0.0, 0.0], [0.0, *a[0]], [0.0, *a[1]]] if len(a) == 2 else a
 
 
-def _cholesky(a: list, mu: float = 0.0):
+def _cholesky(a: list, mu: float = 0.0) -> Optional[tuple]:
     """Lower Cholesky factor (l00, l10, l11, l20, l21, l22) of a + mu Id, or None where it has none.
 
     ``a`` is a symmetric 3 x 3 list of rows, of which only the lower
