@@ -68,21 +68,14 @@ def _add_law_options(sub):
     sub.add_argument("--gamma", type=float, required=True)
 
 
-def _add_input_options(sub, with_kind=False):
+def _add_input_options(sub):
     sub.add_argument("--input", required=True, help="CSV path, or '-' for stdin")
     sub.add_argument("--wet-threshold", type=float, default=0.0,
                      help="day is wet when value > threshold (default 0)")
-    sub.add_argument("--missing-policy", choices=("split", "dry"), default="split")
     sub.add_argument("--missing-marker", default="NA")
-    if with_kind:
-        sub.add_argument("--input-kind", choices=("daily", "maxima"), default="daily",
-                         help="'daily' segments the series first; 'maxima' takes "
-                              "the input column as the maxima sample itself")
 
 
 def _add_fit_options(sub):
-    sub.add_argument("--min-wet-days", type=int, default=1,
-                     help="censoring threshold h: keep periods of at least h days")
     sub.add_argument("--method", choices=METHODS + ("all",), default="quantile")
     sub.add_argument("--r", default=None,
                      help="known shape r (float) or 'from-durations' to fit it "
@@ -117,14 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     seg.set_defaults(func=_cmd_segment)
 
     fit = commands.add_parser("fit", help="estimate (r, lambda, gamma) from maxima")
-    _add_input_options(fit, with_kind=True)
+    _add_input_options(fit)
+    fit.add_argument("--input-kind", choices=("daily", "maxima"), default="daily",
+                     help="'daily' segments the series first; 'maxima' takes "
+                          "the input column as the maxima sample itself")
+    fit.add_argument("--min-wet-days", type=int, default=1,
+                     help="censoring threshold h: keep periods of at least h days")
     _add_fit_options(fit)
     fit.add_argument("--out", default=None)
     fit.set_defaults(func=_cmd_fit)
 
     sweep = commands.add_parser("gof-sweep",
                                 help="fit and measure uniform distance per censoring threshold")
-    _add_input_options(sweep, with_kind=True)
+    _add_input_options(sweep)
     _add_fit_options(sweep)
     sweep.add_argument("--h-range", default="1:15", help="inclusive range 'min:max'")
     sweep.add_argument("--plot-dir", default=None,
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _segment_input(args):
     """The wet periods of the ``--input`` series, per the input options."""
     series = ingest_csv(args.input, missing_marker=args.missing_marker)
-    return segment(series, wet_threshold=args.wet_threshold, missing_policy=args.missing_policy)
+    return segment(series, wet_threshold=args.wet_threshold)
 
 
 def _cmd_segment(args) -> int:
@@ -255,8 +253,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gof_sweep(args) -> int:
-    if args.input_kind != "daily":
-        raise ValueError("gof-sweep needs --input-kind daily (it sweeps the censoring threshold)")
     wp = _segment_input(args)
     _r_value, _source, methods, fit = _fit_setup(args, durations(wp))
 

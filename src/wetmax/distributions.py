@@ -168,7 +168,7 @@ def limit_cdf(x, params: ModelParams):
     arr = _as_float_array(x)
     # (t/(1+t))^r written as exp(-r*log1p(1/t)); exact 0 at t=0, exact 1 at
     # t=inf, so x**gamma overflowing to inf still lands on the right value
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
         t = params.lam * arr ** params.gamma
         out = np.exp(-params.r * np.log1p(1.0 / t))
     return _maybe_scalar(out, x)
@@ -195,7 +195,7 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
 def limit_log_pdf(x, params: ModelParams):
     """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`."""
     arr = _as_float_array(x, strict=True)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out, _, gl = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)
     # where gamma log x overflows to -inf the terms give -inf - (-inf) = nan, and the density is 0
     return _maybe_scalar(np.where(gl == -np.inf, -np.inf, out), x)

@@ -250,7 +250,9 @@ def fit_least_squares(sample: MaximaSample, r: float):
     The empirical d.f. heights i/m are mapped through the inverse law onto
     targets c_i which are linear in log X*_(i) with slope gamma and
     intercept log lam; the top order statistic is excluded because its
-    target is infinite.  Returns ``(lam, gamma)``.
+    target is infinite.  Returns ``(lam, gamma)``, or raises
+    :class:`EstimationError` where they are no valid parameters, as when
+    lam over- or underflows a float.
     """
     r = _checked("r", r)
     m = sample.m
@@ -262,8 +264,13 @@ def fit_least_squares(sample: MaximaSample, r: float):
     c = _log_odds(np.arange(1, m) / m, r)
     logx_c = logx - logx.mean()
     gamma = float(np.dot(c - c.mean(), logx_c) / np.dot(logx_c, logx_c))
-    with np.errstate(over="ignore"):  # lam = inf fails the caller's ModelParams check
-        return float(np.exp(c.mean() - gamma * logx.mean())), gamma
+    with np.errstate(over="ignore"):  # lam = inf fails the check below
+        lam = float(np.exp(c.mean() - gamma * logx.mean()))
+    try:
+        ModelParams(r, lam, gamma)
+    except ValueError as exc:
+        raise EstimationError(f"least squares fit produced invalid parameters: {exc}") from exc
+    return lam, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +342,18 @@ def _cholesky(a: list, mu: float = 0.0) -> Optional[tuple]:
     return l00, l10, l11, l20, l21, math.sqrt(pivot)
 
 
-def _standard_errors(params: ModelParams, information: np.ndarray, fix_r: bool) -> Optional[dict]:
+def _standard_errors(params: ModelParams, information: np.ndarray) -> Optional[dict]:
     """Delta-method standard errors from the observed information in log space.
 
     The covariance of u = log theta is the inverse of ``information`` (the
     negative Hessian).  With its Cholesky factor I = L L^T and M = L^-1,
     var u_i is the sum of M_ki^2 over the rows k, and
-    se(theta_i) = theta_i sqrt(var u_i).  With ``fix_r`` the ``r`` entry is
-    None.  Returns None when I has no Cholesky factor or an error is not
-    finite, so that no NaN reaches a report.
+    se(theta_i) = theta_i sqrt(var u_i).  A 2 x 2 ``information`` is that of
+    a fit with r fixed, and the ``r`` entry is then None.  Returns None when
+    I has no Cholesky factor or an error is not finite, so that no NaN
+    reaches a report.
     """
+    fix_r = len(information) == 2
     low = _cholesky(_padded(information))
     if low is None:
         return None
@@ -453,7 +462,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         log_likelihood=ll,
         iterations=iterations,
         converged=bool(np.max(np.abs(score)) <= gtol),
-        standard_errors=_standard_errors(params, -hessian, fix_r),
+        standard_errors=_standard_errors(params, -hessian),
     )
 
 

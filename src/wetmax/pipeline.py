@@ -166,22 +166,14 @@ class CensoringSpec:
         object.__setattr__(self, "h", _checked_count("h", self.h))
 
 
-def segment(
-    series: PrecipSeries,
-    wet_threshold: float = 0.0,
-    missing_policy: str = "split",
-) -> WetPeriods:
+def segment(series: PrecipSeries, wet_threshold: float = 0.0) -> WetPeriods:
     """Split the series into maximal runs of days above the wet threshold.
 
-    Days at or below the threshold are dry.  A missing day always ends the
-    current run, and so does a calendar gap between two dated rows.  Under
-    the default ``split`` policy a missing day or a calendar gap falling
-    between two wet days is recorded as a warning; under ``dry`` both are
-    treated as ordinary dry days silently.
+    Days at or below the threshold are dry.  A missing day ends the current
+    run, and so does a calendar gap between two dated rows; each missing day
+    or calendar gap that falls between two wet days is recorded as a warning.
     """
     wet_threshold = _checked("wet_threshold", wet_threshold, closed="[)")
-    if missing_policy not in ("split", "dry"):
-        raise ValueError(f"missing policy must be 'split' or 'dry', got {missing_policy!r}")
     values = series.values
     wet = values > wet_threshold  # NaN compares False: missing days are never wet
 
@@ -201,14 +193,12 @@ def segment(
     else:
         maxima = np.zeros(0)
 
-    notes = []
-    if missing_policy == "split":
-        split_at = np.flatnonzero(np.isnan(values[1:-1]) & wet[:-2] & wet[2:]) + 1
-        notes += [(i, f"missing day at index {i} split a wet run") for i in split_at.tolist()]
-        for i in gap_at.tolist():
-            skipped = int(series.days[i] - series.days[i - 1]) - 1
-            notes.append((i, f"calendar gap of {skipped} day(s) between {series.dates[i - 1]} "
-                             f"and {series.dates[i]} (index {i}) split a wet run"))
+    split_at = np.flatnonzero(np.isnan(values[1:-1]) & wet[:-2] & wet[2:]) + 1
+    notes = [(i, f"missing day at index {i} split a wet run") for i in split_at.tolist()]
+    for i in gap_at.tolist():
+        skipped = int(series.days[i] - series.days[i - 1]) - 1
+        notes.append((i, f"calendar gap of {skipped} day(s) between {series.dates[i - 1]} "
+                         f"and {series.dates[i]} (index {i}) split a wet run"))
     warnings = [text for _i, text in sorted(notes)]
     return WetPeriods(values, starts, ends - starts, maxima, warnings)
 

@@ -139,13 +139,13 @@ def one_sample_ks(values, cdf) -> float:
     return float(np.max(np.maximum(np.abs(i - model), np.abs(i - 1.0 / n - model))))
 
 
-def segment_loop(values, wet_threshold=0.0, missing_policy="split", dates=None):
+def segment_loop(values, wet_threshold=0.0, dates=None):
     """Wet runs found by walking the series one day at a time.
 
     The loop form of :func:`wetmax.segment`: returns the runs (lists of
     values, in series order) and the warnings.  A run ends at a dry or
-    missing day, and at a calendar gap between two dated rows; under the
-    ``split`` policy a missing day or a gap between two wet days is noted.
+    missing day, and at a calendar gap between two dated rows; a missing day
+    or a gap between two wet days is noted.
     """
     values = np.asarray(values, dtype=float)
     days = None if dates is None else np.array(dates, dtype="datetime64[D]").astype(np.int64)
@@ -158,22 +158,14 @@ def segment_loop(values, wet_threshold=0.0, missing_policy="split", dates=None):
         if start is not None and (not is_wet or gap):
             periods.append([float(v) for v in values[start:i]])
             start = None
-            if is_wet and missing_policy == "split":
+            if is_wet:
                 warnings.append(
                     f"calendar gap of {days[i] - days[i - 1] - 1} day(s) between "
                     f"{dates[i - 1]} and {dates[i]} (index {i}) split a wet run"
                 )
         if is_wet and start is None:
             start = i
-        if (
-            missing_policy == "split"
-            and i < values.size
-            and missing[i]
-            and i > 0
-            and wet[i - 1]
-            and i + 1 < values.size
-            and wet[i + 1]
-        ):
+        if 0 < i < values.size - 1 and missing[i] and wet[i - 1] and wet[i + 1]:
             warnings.append(f"missing day at index {i} split a wet run")
     return periods, warnings
 

@@ -21,6 +21,14 @@ SEED42_CSV = str(FIXTURES / "precip_seed42.csv")
 SEED42_TRUTH = {"r": 0.85, "lambda": 1.5, "gamma": 1.2}
 
 
+def write_scaled_draws(tmp_path):
+    """Draws of the law scaled by 1e300, each followed by a dry day: least squares puts lam at 0."""
+    values = 1e300 * sample_limit(ModelParams(0.85, 1.5, 3.0), Representation.DIRECT, make_rng(1), size=300)
+    path = tmp_path / "scaled.csv"
+    path.write_text(("%.17g\n0\n" * values.size) % tuple(values.tolist()))
+    return str(path)
+
+
 def write_six_rows(tmp_path):
     path = tmp_path / "six.csv"
     path.write_text(
@@ -125,12 +133,21 @@ class TestNoWarningBeforeTheError:
         assert self._run(["segment", "--input", str(path)], capsys) == (
             2, "error: line 1: cannot parse date '1980-01-01T00Z' (expected YYYY-MM-DD)\n")
 
-    @pytest.mark.parametrize("method, code", [("ls", 2), ("mle", 2), ("quantile", 3), ("all", 3)])
-    def test_overflowing_scale(self, method, code, capsys):
+    @staticmethod
+    def _invalid_lam(method, lam):
         # ls and mle start from the least-squares fit, quantile and all from the quantile fit
-        prefix = "quantile fit produced invalid parameters: " if code == 3 else ""
+        fit = "least squares" if method in ("ls", "mle") else "quantile"
+        return 3, f"error: {fit} fit produced invalid parameters: lam must lie in (0.0, inf), got {lam}\n"
+
+    @pytest.mark.parametrize("method", ["ls", "mle", "quantile", "all"])
+    def test_overflowing_scale(self, method, capsys):
         argv = ["fit", "--input", SEED42_CSV, "--method", method, "--r", "1e308"]
-        assert self._run(argv, capsys) == (code, f"error: {prefix}lam must lie in (0.0, inf), got inf\n")
+        assert self._run(argv, capsys) == self._invalid_lam(method, "inf")
+
+    @pytest.mark.parametrize("method", ["ls", "mle", "quantile", "all"])
+    def test_underflowing_scale(self, method, tmp_path, capsys):
+        argv = ["fit", "--input", write_scaled_draws(tmp_path), "--method", method, "--r", "0.85"]
+        assert self._run(argv, capsys) == self._invalid_lam(method, "0.0")
 
     def test_overflowing_quantile(self, capsys):
         argv = ["quantile", "--r", "1e300", "--lambda", "1e300", "--gamma", "1e-300", "--eps", "0.5"]
@@ -332,6 +349,14 @@ class TestGofSweepCommand:
             assert text.startswith(f"# ks={ks_cell} m={m_cell} r=0.85 ")
             assert len(text.strip().split("\n")) == 202
 
+    def test_fits_out_of_float_range_give_blank_cells(self, tmp_path, capsys):
+        argv = ["gof-sweep", "--input", write_scaled_draws(tmp_path), "--method", "all", "--r", "0.85",
+                "--h-range", "1:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr() == ("h\tm\tks_quantile\tks_ls\tks_mle\n1\t300\t\t\t\n2\t0\t\t\t\n", "")
+
     def test_bad_range_exits_2(self, capsys):
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "5:1"]) == 2
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "abc"]) == 2
@@ -515,6 +540,24 @@ class TestBadArgumentValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+REMOVED_FLAGS = [
+    ("gof-sweep", "--min-wet-days", "3"),
+    ("gof-sweep", "--input-kind", "daily"),
+    ("segment", "--missing-policy", "split"),
+    ("fit", "--missing-policy", "split"),
+    ("gof-sweep", "--missing-policy", "split"),
+]
+
+
+class TestFlagsOfNoEffect:
+    @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+    def test_are_unrecognized(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(VALID_ARGV[command] + [flag, value])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 class TestParserReuse:

@@ -245,6 +245,14 @@ class TestLimitPdf:
         assert value.tolist() == [-np.inf, -np.inf]
         assert limit_pdf(1e-300, ModelParams(1.0, 1.0, 1e306)) == 0.0
 
+    @pytest.mark.parametrize("function", [limit_log_pdf, limit_cdf])
+    def test_underflow_raises_nowhere(self, function):
+        # exp(-|log t|) underflows at both points, x ** gamma at the left one
+        x, params = np.array([1e-300, 1e300]), ModelParams(1.0, 1.0, 1.2)
+        expected = function(x, params).tolist()
+        with np.errstate(all="raise"):
+            assert function(x, params).tolist() == expected
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             limit_pdf(0.0, PARAM_SETS[0])

@@ -318,6 +318,13 @@ class TestFitLeastSquares:
         with pytest.raises(EstimationError):
             fit_least_squares(MaximaSample(np.array([2.0, 2.0, 2.0, 5.0])), 0.8)
 
+    @pytest.mark.parametrize("scale, lam", [(1e300, "0.0"), (1e-300, "inf")])
+    def test_lam_beyond_float_range(self, scale, lam):
+        values = sample_limit(ModelParams(0.85, 1.5, 3.0), Representation.DIRECT, make_rng(1), size=300)
+        message = f"least squares fit produced invalid parameters: lam must lie in \\(0.0, inf\\), got {lam}$"
+        with pytest.raises(EstimationError, match=message):
+            fit_least_squares(MaximaSample(scale * values), 0.85)
+
     def test_needs_three_points(self):
         with pytest.raises(EstimationError):
             fit_least_squares(MaximaSample(np.array([1.0, 2.0])), 0.8)
@@ -592,13 +599,13 @@ class TestFitMle:
         params = ModelParams(0.85, 1.5, 1.2)
         values = sample_limit(params, Representation.DIRECT, make_rng(113), size=400)
         _, _, hessian = _score_hessian(np.log(values), params.r, params.lam, params.gamma, False)
-        se = _standard_errors(params, -hessian, fix_r=False)
+        se = _standard_errors(params, -hessian)
         expected = np.array([0.85, 1.5, 1.2]) * np.sqrt(np.diag(np.linalg.inv(-hessian)))
         np.testing.assert_allclose([se["r"], se["lambda"], se["gamma"]], expected, rtol=1e-10)
 
     @pytest.mark.parametrize("information", [[[1.0, 2.0], [2.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
     def test_standard_errors_none_without_positive_definite_information(self, information):
-        assert _standard_errors(ModelParams(1.0, 1.0, 1.0), np.array(information), fix_r=True) is None
+        assert _standard_errors(ModelParams(1.0, 1.0, 1.0), np.array(information)) is None
 
 
 def symmetric_with_eigenvalues(eigenvalues, seed):
@@ -672,7 +679,7 @@ class TestStandardErrors:
         w = np.where(signs[:n], -1.0, 1.0) * 10.0 ** scale * np.exp(log_w[:n])
         information, _ = symmetric_with_eigenvalues(w, seed)
         params = ModelParams(0.85, 1.5, 1.2)
-        se = _standard_errors(params, information, fix_r=n == 2)
+        se = _standard_errors(params, information)
         try:
             np.linalg.cholesky(information)
         except np.linalg.LinAlgError:

@@ -49,25 +49,18 @@ class TestSegment:
         assert [list(p) for p in wp.periods] == [[1.0], [2.0]]
 
     def test_missing_splits_run_with_warning(self):
-        wp = segment(series(1.0, np.nan, 2.0), missing_policy="split")
+        wp = segment(series(1.0, np.nan, 2.0))
         assert [list(p) for p in wp.periods] == [[1.0], [2.0]]
         assert len(wp.warnings) == 1
         assert "index 1" in wp.warnings[0]
 
-    def test_missing_as_dry_is_silent(self):
-        wp = segment(series(1.0, np.nan, 2.0), missing_policy="dry")
-        assert [list(p) for p in wp.periods] == [[1.0], [2.0]]
-        assert wp.warnings == []
-
     def test_missing_next_to_dry_day_not_flagged(self):
-        wp = segment(series(1.0, np.nan, 0.0, 2.0), missing_policy="split")
+        wp = segment(series(1.0, np.nan, 0.0, 2.0))
         assert wp.warnings == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             segment(series(1.0), wet_threshold=-1.0)
-        with pytest.raises(ValueError):
-            segment(series(1.0), missing_policy="drop")
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -178,7 +171,7 @@ class TestIngestCsv:
         path.write_text("date,value_mm\n2001-01-01,1.0\n2001-01-02,NA\n2001-01-03,2.0\n")
         got = ingest_csv(str(path))
         assert np.isnan(got.values[1])
-        wp = segment(got, missing_policy="split")
+        wp = segment(got)
         assert [list(p) for p in wp.periods] == [[1.0], [2.0]]
         assert len(wp.warnings) == 1
 
@@ -296,7 +289,6 @@ class TestCalendarDates:
         assert wp.warnings == [
             "calendar gap of 2 day(s) between 2000-01-02 and 2000-01-05 (index 2) split a wet run"
         ]
-        assert segment(ps, missing_policy="dry").warnings == []
 
     def test_gap_between_dry_days_is_silent(self):
         ps = PrecipSeries(np.array([1.0, 0.0, 3.0]), dates=["2000-01-01", "2000-01-02", "2000-01-09"])
@@ -388,10 +380,10 @@ def daily_series(draw, dated=None):
 
 class TestSegmentProperties:
     @settings(max_examples=200, deadline=None)
-    @given(daily_series(), st.sampled_from([0.0, 0.5, 10.0]), st.sampled_from(["split", "dry"]))
-    def test_matches_day_loop(self, ps, threshold, policy):
-        wp = segment(ps, wet_threshold=threshold, missing_policy=policy)
-        periods, warnings = segment_loop(ps.values, threshold, policy, ps.dates)
+    @given(daily_series(), st.sampled_from([0.0, 0.5, 10.0]))
+    def test_matches_day_loop(self, ps, threshold):
+        wp = segment(ps, wet_threshold=threshold)
+        periods, warnings = segment_loop(ps.values, threshold, ps.dates)
         assert [p.tolist() for p in wp.periods] == periods
         assert wp.lengths == [len(p) for p in periods]
         assert wp.maxima.tolist() == [max(p) for p in periods]
