@@ -5,9 +5,10 @@ periods, ``fit`` the maximum law to per-period maxima, sweep the censoring
 threshold with ``gof-sweep``, draw synthetic samples with ``simulate``, and
 evaluate ``quantile`` / ``moment`` values of a given parameter triple.
 
-Exit codes: 0 on success, 2 for input or configuration errors, 3 when an
-estimator fails on the given data.  All randomness sits behind ``--seed``,
-so every output is reproducible.
+Exit codes: 0 on success, 2 for input or configuration errors (a request
+too large for memory among them), 3 when an estimator fails on the given
+data.  All randomness sits behind ``--seed``, so every output is
+reproducible.
 
 Each text output is built in memory and written at once: ``simulate`` and
 the ``gof-sweep`` plot tables format all their numbers in one ``%``
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
         return 3
     except (CsvFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a simulate --n whose draws cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

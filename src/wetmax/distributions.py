@@ -203,7 +203,8 @@ def limit_log_pdf(x, params: ModelParams):
 
 def limit_pdf(x, params: ModelParams):
     """Density r gamma lam^r x^(gamma r - 1) / (1 + lam x^gamma)^(r+1), x > 0."""
-    return np.exp(limit_log_pdf(x, params))
+    with np.errstate(under="ignore"):  # a density below the smallest float is 0
+        return np.exp(limit_log_pdf(x, params))
 
 
 def _log_odds(p, r, xp=np):
@@ -254,7 +255,7 @@ def gamma_pdf(x, params: GammaParams):
     """Gamma density with shape r and rate lam."""
     arr = _as_float_array(x)
     r, lam = params.r, params.lam
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         out = np.exp(r * np.log(lam) - gammaln(r) + (r - 1.0) * np.log(arr) - lam * arr)
     if r == 1.0:  # x = 0 gives 0*log(0) above; the exponential density is lam there
         out = np.where(arr == 0.0, lam, out)
@@ -265,13 +266,14 @@ def gg_pdf(x, params: GGParams):
     """Generalized gamma density |gamma| lam^r x^(gamma r - 1) e^(-lam x^gamma) / Gamma(r)."""
     arr = _as_float_array(x, strict=True)
     r, gamma, lam = params.r, params.gamma, params.lam
-    out = np.exp(
-        np.log(abs(gamma))
-        + r * np.log(lam)
-        - gammaln(r)
-        + (gamma * r - 1.0) * np.log(arr)
-        - lam * arr ** gamma
-    )
+    with np.errstate(over="ignore", under="ignore"):  # x^gamma = inf gives exp(-inf) = 0
+        out = np.exp(
+            np.log(abs(gamma))
+            + r * np.log(lam)
+            - gammaln(r)
+            + (gamma * r - 1.0) * np.log(arr)
+            - lam * arr ** gamma
+        )
     return _maybe_scalar(out, x)
 
 
@@ -279,7 +281,9 @@ def weibull_cdf(x, gamma: float):
     """Weibull distribution function 1 - exp(-x^gamma) for x >= 0."""
     gamma = _checked("gamma", gamma)
     arr = _as_float_array(x)
-    return _maybe_scalar(-np.expm1(-(arr ** gamma)), x)
+    with np.errstate(over="ignore", under="ignore"):  # x^gamma = inf gives exactly 1
+        out = -np.expm1(-(arr ** gamma))
+    return _maybe_scalar(out, x)
 
 
 def negbin_pmf(k, params: NegBinParams):
@@ -291,10 +295,11 @@ def negbin_pmf(k, params: NegBinParams):
         raise ValueError(f"k must contain nonnegative integers, got {k!r}")
     kk = arr.astype(float)
     r, p = params.r, params.p
-    out = np.exp(
-        gammaln(r + kk) - gammaln(kk + 1.0) - gammaln(r)
-        + r * np.log(p) + kk * np.log1p(-p)
-    )
+    with np.errstate(under="ignore"):  # a mass below the smallest float is 0
+        out = np.exp(
+            gammaln(r + kk) - gammaln(kk + 1.0) - gammaln(r)
+            + r * np.log(p) + kk * np.log1p(-p)
+        )
     return _maybe_scalar(out, k)
 
 
@@ -313,7 +318,7 @@ def negbin_odds_mixing_density(z, r: float, mu: float):
     mu = _checked("mu", mu)
     arr = np.asarray(z, dtype=float)
     log_const = r * np.log(mu) - gammaln(1.0 - r) - gammaln(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         out = np.where(
             arr >= mu,
             np.exp(log_const - r * np.log(arr - mu) - np.log(arr)),
@@ -359,10 +364,11 @@ def stable_ratio_density(x, alpha: float):
     """
     alpha = _checked("alpha", alpha, 0.0, 1.0)
     arr = _as_float_array(x, strict=True)
-    xa = arr ** alpha
-    out = np.sin(np.pi * alpha) * arr ** (alpha - 1.0) / (
-        np.pi * (1.0 + xa * xa + 2.0 * xa * np.cos(np.pi * alpha))
-    )
+    with np.errstate(over="ignore", under="ignore"):  # an infinite denominator gives exactly 0
+        xa = arr ** alpha
+        out = np.sin(np.pi * alpha) * arr ** (alpha - 1.0) / (
+            np.pi * (1.0 + xa * xa + 2.0 * xa * np.cos(np.pi * alpha))
+        )
     return _maybe_scalar(out, x)
 
 
@@ -388,7 +394,7 @@ def snedecor_fisher_density(x, r: float):
     """
     r = _checked("r", r)
     arr = _as_float_array(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         out = np.exp(
             (r + 1.0) * np.log(r)
             + (r - 1.0) * np.log(arr)

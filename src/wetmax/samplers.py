@@ -16,11 +16,20 @@ odds variable as mu over a Beta(r, 1 - r) variate.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
 
-from .distributions import GammaParams, ModelParams, NegBinParams, _checked, _checked_count, _maybe_scalar
+from .distributions import (
+    GammaParams,
+    ModelParams,
+    NegBinParams,
+    _checked,
+    _checked_count,
+    _log_odds,
+    _maybe_scalar,
+)
 
 
 class RepresentationDomainError(ValueError):
@@ -207,26 +216,35 @@ def sample_limit(params: ModelParams, tag: Representation, rng, size=None):
 def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: float, rng, size=None):
     """Scaled maximum of a negative-binomial number of Pareto variates.
 
-    Draws a count N from the negative binomial law with shape ``params.r``
-    and success probability p_n = min(q, lam/n), then the maximum of N
-    i.i.d. Pareto variates (d.f. 1 - x^-pareto_gamma on x >= 1) divided by
+    The count N is negative binomial with shape ``params.r`` and success
+    probability p = min(q, lam/n); the maximum is taken over N i.i.d. Pareto
+    variates (d.f. 1 - x^-pareto_gamma on x >= 1) and divided by
     n^(1/pareto_gamma).  As n grows the output converges in distribution to
-    the limit law with parameters (params.r, params.lam, pareto_gamma).
-    An empty maximum (N = 0) is recorded as 0; its probability vanishes as
+    the limit law with parameters (params.r, params.lam, pareto_gamma).  An
+    empty maximum (N = 0) is recorded as 0; its probability p^r vanishes as
     n grows, and dropping the atom would bias small-n comparisons.
 
-    The maximum is drawn exactly by inversion: the largest of N uniforms is
-    U^(1/N), so max{X_1..X_N} = (1 - U^(1/N))^(-1/pareto_gamma).
+    The draw inverts the closed-form law of that maximum (Korolev & Sokolov
+    2008).  Write gamma = pareto_gamma and mu = p / (1 - p).  The NegBin pgf
+    (p / (1 - (1 - p) s))^r at s = 1 - 1/(n x^gamma), the chance that one
+    scaled Pareto variate is <= x, gives
+
+        P(M <= x) = (t / (1 + t))^r,  t = mu n x^gamma >= mu,
+
+    and below that the atom P(M = 0) = (mu / (1 + mu))^r = p^r.  So
+    M = (T / (mu n))^(1/gamma) when T > mu and 0 otherwise, for T with
+    d.f. (t / (1 + t))^r on t > 0: the beta-prime(r, 1) law of G_r / E for
+    a standard gamma G_r and a standard exponential E, which is the
+    gamma-mixed Poisson form of the count (Korolev 2017).  One uniform V
+    gives log T = ell(V, r) (:func:`~wetmax.distributions._log_odds`);
+    V = 0 is T = 0, an empty maximum.
     """
     n = _checked_count("n", n)
     q = _checked("q", q, 0.0, 1.0)
     pareto_gamma = _checked("pareto_gamma", pareto_gamma)
-    p_n = min(q, params.lam / n)
-    counts = sample_negbin(NegBinParams(params.r, p_n), rng, size)
-    u = rng.random(size)
-    counts_arr = np.asarray(counts, dtype=float)
-    scale = n ** (1.0 / pareto_gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = -np.expm1(np.log(u) / counts_arr)  # 1 - U^(1/N), exact for large N
-        out = np.where(counts_arr > 0.0, tail ** (-1.0 / pareto_gamma) / scale, 0.0)
-    return _maybe_scalar(out, u)
+    log_mu = math.log(NegBinParams(params.r, min(q, params.lam / n)).mu)
+    v = rng.random(size)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at V = 0
+        log_t = _log_odds(v, params.r)
+    out = np.where(log_t > log_mu, np.exp((log_t - (log_mu + math.log(n))) / pareto_gamma), 0.0)
+    return _maybe_scalar(out, v)

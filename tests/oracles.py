@@ -339,6 +339,23 @@ def negbin_odds_gamma_pair(r: float, mu: float, rng, size=None):
     return mu * (g1 + g2) / g1
 
 
+def prelimit_max_brute_force(n: int, params: ModelParams, q: float, pareto_gamma: float, rng, size: int):
+    """Scaled maximum of N Pareto variates, with N drawn and the maximum taken.
+
+    The reference for :func:`wetmax.simulate_prelimit_max`, which inverts
+    the closed-form law of the maximum at one uniform instead.  N comes
+    from numpy's ``negative_binomial`` with shape r and p = min(q, lam/n);
+    an empty maximum is 0.
+    """
+    counts = rng.negative_binomial(params.r, min(q, params.lam / n), size)
+    pareto = (1.0 - rng.random(int(counts.sum()))) ** (-1.0 / pareto_gamma)
+    out = np.zeros(size)
+    for i, (start, count) in enumerate(zip(np.cumsum(counts) - counts, counts)):
+        if count:
+            out[i] = pareto[start:start + count].max()
+    return out / n ** (1.0 / pareto_gamma)
+
+
 def fit_mle_nelder_mead(values, init, fix_r=False, max_iter=2000, xtol=1e-8):
     """Maximum likelihood by Nelder-Mead search in log-parameter space.
 

@@ -542,6 +542,18 @@ class TestBadArgumentValues:
         assert "Traceback" not in err
 
 
+    # 1e15 draws are 8 PB, beyond the address space: the allocation fails
+    # before any page is touched.  Never use a size that could be allocated.
+    @pytest.mark.parametrize("extra", [[], ["--prelimit-n", "10"]])
+    def test_draws_beyond_memory_exit_2_with_one_error_line(self, extra, tmp_path, capsys):
+        out = tmp_path / "draws.txt"
+        argv = ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2",
+                "--n", "1000000000000000", "--out", str(out)] + extra
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
+
 REMOVED_FLAGS = [
     ("gof-sweep", "--min-wet-days", "3"),
     ("gof-sweep", "--input-kind", "daily"),

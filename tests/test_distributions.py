@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,33 @@ SCALAR_CHECKS = {
     "segment.wet_threshold": (lambda v: segment(PrecipSeries(np.ones(3)), wet_threshold=v), -0.5),
     "CensoringSpec.h": (lambda v: CensoringSpec(v), 0.0),
 }
+
+
+# every public density, mass function and d.f., with its value at 1e-300
+# and 1e300 (negbin_pmf takes whole counts: 0 and 1e300)
+DENSITIES_AT_EXTREMES = {
+    "limit_cdf": (lambda x: limit_cdf(x, _P), (0.0, 1.0)),
+    "limit_pdf": (lambda x: limit_pdf(x, _P), (1.4397190194810834e-06, 0.0)),
+    "limit_log_pdf": (lambda x: limit_log_pdf(x, _P), (-13.451062588776153, -1520.091823856882)),
+    "gamma_pdf": (lambda x: gamma_pdf(x, GammaParams(0.7, 2.0)), (1.2514911744163584e90, 0.0)),
+    "gg_pdf": (lambda x: gg_pdf(x, GGParams(0.85, 1.2, 1.5)), (1.5225274990432444e-06, 0.0)),
+    "weibull_cdf": (lambda x: weibull_cdf(x, 1.2), (0.0, 1.0)),
+    "negbin_pmf": (lambda x: negbin_pmf(np.floor(x), NegBinParams(0.85, 0.3)), (0.35937930668721074, 0.0)),
+    "negbin_odds_mixing_density": (lambda x: negbin_odds_mixing_density(x, 0.5, 1.5), (0.0, 0.0)),
+    "negbin_prob_mixing_density": (lambda x: negbin_prob_mixing_density(x, 0.5, 0.3), (0.0, 0.0)),
+    "stable_ratio_density": (lambda x: stable_ratio_density(x, 0.7), (2.575181074002499e89, 0.0)),
+    "snedecor_fisher_density": (lambda x: snedecor_fisher_density(x, 0.85), (7.403294274818915e44, 0.0)),
+}
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e300])
+@pytest.mark.parametrize("name", sorted(DENSITIES_AT_EXTREMES))
+def test_density_at_float_extremes_raises_no_floating_point_error(name, x):
+    call, (at_tiny, at_huge) = DENSITIES_AT_EXTREMES[name]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        value = call(x)
+    assert value == pytest.approx(at_tiny if x < 1.0 else at_huge, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "edge"])

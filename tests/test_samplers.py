@@ -1,4 +1,5 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,7 @@ from oracles import (
     levy_cdf,
     negbin_odds_gamma_pair,
     one_sample_ks,
+    prelimit_max_brute_force,
     stable_ratio_kanter,
 )
 
@@ -360,6 +362,33 @@ class TestPrelimitMax:
         p = ModelParams(0.85, 1.0, 1.5)
         draws = simulate_prelimit_max(10_000, p, 0.5, 1.5, make_rng(38), size=10_000)
         assert one_sample_ks(draws, lambda x: limit_cdf(x, p)) < 0.05
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_matches_brute_force_maximum(self, n):
+        p, size = ModelParams(0.85, 1.5, 1.2), 20_000
+        draws = simulate_prelimit_max(n, p, 0.5, 1.2, make_rng(40 + n), size=size)
+        brute = prelimit_max_brute_force(n, p, 0.5, 1.2, make_rng(140 + n), size)
+        assert ks_two_sample(draws, brute) < ks_critical_two_sample(size, size)
+
+    @pytest.mark.parametrize("n,q", [(1, 0.9), (10, 0.5), (100, 0.5)])
+    def test_zero_share_is_p_to_the_r(self, n, q):
+        p, size = ModelParams(0.85, 1.5, 1.2), 100_000
+        atom = min(q, p.lam / n) ** p.r
+        share = np.mean(simulate_prelimit_max(n, p, q, 1.2, make_rng(43), size=size) == 0.0)
+        assert abs(share - atom) < 5.0 * math.sqrt(atom * (1.0 - atom) / size)
+
+    def test_zero_uniform_is_an_empty_maximum_without_warning(self):
+        class ZerosFirst:  # a generator whose uniforms start with an exact 0.0
+            def random(self, size=None):
+                return 0.0 if size is None else np.resize([0.0, 0.5, 1e-300, 1.0 - 2.0**-53], size)
+
+        p = ModelParams(0.85, 1.5, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate_prelimit_max(10, p, 0.5, 1.2, ZerosFirst()) == 0.0
+            draws = simulate_prelimit_max(10, p, 0.5, 1.2, ZerosFirst(), size=8)
+        assert list(draws == 0.0) == [True, False, True, False] * 2
+        assert np.all(np.isfinite(draws))
 
     def test_validates_arguments(self):
         p = ModelParams(1, 1, 1)
