@@ -6,13 +6,15 @@ threshold with ``gof-sweep``, draw synthetic samples with ``simulate``, and
 evaluate ``quantile`` / ``moment`` values of a given parameter triple.
 
 Exit codes: 0 on success, 2 for input or configuration errors (a request
-too large for memory among them), 3 when an estimator fails on the given
-data.  All randomness sits behind ``--seed``, so every output is
-reproducible.
+too large for memory, or draws that leave the float range, among them), 3
+when an estimator fails on the given data.  A reader of stdout that goes
+away early, as ``| head`` does, is no error.  All randomness sits behind
+``--seed``, so every output is reproducible.
 
-Each text output is built in memory and written at once: ``simulate`` and
-the ``gof-sweep`` plot tables format all their numbers in one ``%``
-operation, with the same bytes as one ``%.17g`` / ``%.12g`` per value.
+``simulate`` writes its draws in blocks of :data:`SIMULATE_BLOCK`, one ``%``
+operation per block, so the text it holds at once stays fixed whatever
+``--n``; the ``gof-sweep`` plot tables format each table in one ``%``
+operation.  Both give the same bytes as one ``%.17g`` / ``%.12g`` per value.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,13 +53,16 @@ from .pipeline import (
 from .samplers import Representation, make_rng, sample_limit, simulate_prelimit_max
 
 METHODS = ("quantile", "ls", "mle")
+SIMULATE_BLOCK = 4096  # draws formatted per write by ``simulate``
 
 
-def _write_text(text: str, out: str | None):
+def _write_text(pieces, out: str | None):
+    """Writes the text pieces, in order, to the file ``out`` or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text)
+        with Path(out).open("w") as stream:
+            stream.writelines(pieces)
 
 
 def _model_params_from(args) -> ModelParams:
@@ -172,7 +178,7 @@ def _cmd_segment(args) -> int:
     wp = _segment_input(args)
     doc = wp.to_json_dict()
     doc["warnings"] = wp.warnings
-    _write_text(json.dumps(doc, sort_keys=True) + "\n", args.out)
+    _write_text((json.dumps(doc, sort_keys=True) + "\n",), args.out)
     return 0
 
 
@@ -249,7 +255,7 @@ def _cmd_fit(args) -> int:
         "r_source": r_source,
         "reports": {name: report.to_dict() for name, report in reports.items()},
     }
-    _write_text(json.dumps(doc, sort_keys=True) + "\n", args.out)
+    _write_text((json.dumps(doc, sort_keys=True) + "\n",), args.out)
     return 0
 
 
@@ -291,7 +297,7 @@ def _cmd_gof_sweep(args) -> int:
                 path = plot_dir / f"gof_h{h}_{method}.tsv"
                 path.write_text(emit_plot_data(sample, report, grid))
         lines.append("\t".join(cells))
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_text(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -302,16 +308,28 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     params = _model_params_from(args)
     rng = make_rng(args.seed)
-    if args.prelimit_n is not None:
-        pareto_gamma = args.pareto_gamma if args.pareto_gamma is not None else params.gamma
-        values = simulate_prelimit_max(
-            args.prelimit_n, params, args.q, pareto_gamma, rng, size=args.n
-        )
-    else:
-        values = sample_limit(params, Representation(args.tag), rng, size=args.n)
-    values = np.atleast_1d(values)
-    _write_text(("%.17g\n" * values.size) % tuple(values.tolist()), args.out)
+    with np.errstate(all="ignore"):  # a draw beyond the float range is rejected below
+        if args.prelimit_n is not None:
+            pareto_gamma = args.pareto_gamma if args.pareto_gamma is not None else params.gamma
+            values = simulate_prelimit_max(args.prelimit_n, params, args.q, pareto_gamma, rng, size=args.n)
+            inside, support = values >= 0.0, "[0, inf)"  # 0 is the empty maximum
+        else:
+            values = sample_limit(params, Representation(args.tag), rng, size=args.n)
+            inside, support = values > 0.0, "(0, inf)"
+        inside &= values < np.inf
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"draw {i + 1} of {values.size} is {values[i]:.17g}, outside the support "
+                         f"{support}: these parameters take draws beyond the float range")
+    _write_text(_draw_lines(values), args.out)
     return 0
+
+
+def _draw_lines(values):
+    """The ``%.17g`` lines of ``values``, one text piece per block of draws."""
+    for start in range(0, values.size, SIMULATE_BLOCK):
+        block = values[start:start + SIMULATE_BLOCK].tolist()
+        yield ("%.17g\n" * len(block)) % tuple(block)
 
 
 def _cmd_quantile(args) -> int:
@@ -333,6 +351,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout went away, as ``| head`` does: no error.  Point
+        # stdout at the null device so that its flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (EstimationError, EmptySampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

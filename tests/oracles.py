@@ -471,7 +471,8 @@ def ecdf_counting(values, x):
 def simulate_text_per_value(values) -> str:
     """``wetmax simulate``'s output, one f-string per draw.
 
-    The reference for the CLI, which formats all draws in one operation.
+    The reference for the CLI, which formats its draws in blocks of
+    ``cli.SIMULATE_BLOCK``, one ``%`` operation per block.
     """
     return "".join(f"{v:.17g}\n" for v in np.atleast_1d(values))
 

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -148,6 +152,19 @@ class TestNoWarningBeforeTheError:
     def test_underflowing_scale(self, method, tmp_path, capsys):
         argv = ["fit", "--input", write_scaled_draws(tmp_path), "--method", method, "--r", "0.85"]
         assert self._run(argv, capsys) == self._invalid_lam(method, "0.0")
+
+    @pytest.mark.parametrize("extra,draw", [
+        (["--gamma", "0.001"], "draw 1 of 5 is inf, outside the support (0, inf)"),
+        (["--gamma", "1.2", "--prelimit-n", "10", "--pareto-gamma", "0.001"],
+         "draw 2 of 5 is inf, outside the support [0, inf)"),
+    ], ids=["direct", "prelimit"])
+    def test_draws_beyond_the_float_range(self, extra, draw, tmp_path, capsys):
+        out = tmp_path / "draws.txt"
+        argv = ["simulate", "--r", "0.85", "--lambda", "1.5", "--n", "5", "--seed", "1",
+                "--out", str(out)] + extra
+        assert self._run(argv, capsys) == (
+            2, f"error: {draw}: these parameters take draws beyond the float range\n")
+        assert not out.exists()
 
     def test_overflowing_quantile(self, capsys):
         argv = ["quantile", "--r", "1e300", "--lambda", "1e300", "--gamma", "1e-300", "--eps", "0.5"]
@@ -398,7 +415,9 @@ class TestSimulateCommand:
         expected = simulate_text_per_value(draws).encode()
         assert written == (expected, expected)
 
-    @pytest.mark.parametrize("n", [0, 1, 300])
+    # n = 0 writes an empty --out file; the others straddle the block boundaries
+    @pytest.mark.parametrize("n", [0, 1, 300, cli.SIMULATE_BLOCK - 1, cli.SIMULATE_BLOCK,
+                                   cli.SIMULATE_BLOCK + 1, 2 * cli.SIMULATE_BLOCK + 1])
     @pytest.mark.parametrize("prelimit", [False, True])
     def test_small_n_and_prelimit_match_per_value_oracle(self, n, prelimit, tmp_path, capsys):
         extra = ["--prelimit-n", "10"] if prelimit else []
@@ -413,6 +432,33 @@ class TestSimulateCommand:
         assert expected.count(b"\n") == n
         if prelimit and n == 300:
             assert b"\n0\n" in expected  # N = 0 spells draw exact zeros
+
+    def test_peak_memory_is_a_few_bytes_per_draw(self, tmp_path):
+        # the draws take 8 bytes each, and the sampler's temporaries a few times that;
+        # the text is held one block at a time
+        n = 200_000
+        argv = SIMULATE_ARGV + ["--n", str(n), "--out", str(tmp_path / "sim.txt")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n
+
+    def test_reader_that_stops_early_is_no_error(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-W", "error", "-m", "wetmax.cli"] + SIMULATE_ARGV + ["--n", "200000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()  # as `| head -1` does
+            try:
+                _out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        assert (proc.returncode, err) == (0, b"")
 
     def test_reproducible(self, tmp_path):
         args = ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2",
