@@ -12,6 +12,11 @@ stable ratios or from the mixed-geometric odds variable are only valid for
 shape r <= 1 and tail exponent gamma <= 1.  Each of those two components
 is one exact draw: the ratio by inversion of its d.f. (Lamperti 1958), the
 odds variable as mu over a Beta(r, 1 - r) variate.
+
+The arithmetic runs in place on the arrays the generator returns, with the
+same draws and floating operations, in the same order, as the plain product
+formulas, so the array streams are unchanged bit for bit; ``size=None``
+gives the one-element draw as a float.
 """
 
 from __future__ import annotations
@@ -77,6 +82,23 @@ RESTRICTED_REPRESENTATIONS = frozenset(
 )
 
 
+def _shape(size):
+    """The generator's ``size`` for a draw: ``()`` stands for one variate."""
+    return () if size is None else size
+
+
+def _finish(out, size):
+    """The draws ``out``, or their one variate as a float when ``size`` is None."""
+    return float(out) if size is None else out
+
+
+def _exponential_in_place(u):
+    """Standard exponential variates -log1p(-u), written over the uniforms ``u``."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
 def sample_gamma(params: GammaParams, rng, size=None):
     """Gamma variates with shape r and rate lam.
 
@@ -84,40 +106,57 @@ def sample_gamma(params: GammaParams, rng, size=None):
     independent uniform power factor U^(1/r), which stays accurate where
     rejection samplers degrade.
     """
+    shape = _shape(size)
     if params.r < 1.0:
-        g = rng.standard_gamma(params.r + 1.0, size=size)
-        g = g * (1.0 - rng.random(size)) ** (1.0 / params.r)
+        g = rng.standard_gamma(params.r + 1.0, size=shape)
+        u = rng.random(shape)
+        np.subtract(1.0, u, out=u)
+        u **= 1.0 / params.r
+        g *= u
     else:
-        g = rng.standard_gamma(params.r, size=size)
-    return g / params.lam
+        g = rng.standard_gamma(params.r, size=shape)
+    g /= params.lam
+    return _finish(g, size)
 
 
 def sample_weibull(gamma: float, rng, size=None):
     """Weibull variates with d.f. 1 - exp(-x^gamma), drawn as E^(1/gamma) by inversion."""
     gamma = _checked("gamma", gamma)
-    e = -np.log1p(-rng.random(size))
-    return e ** (1.0 / gamma)
+    e = _exponential_in_place(rng.random(_shape(size)))
+    e **= 1.0 / gamma
+    return _finish(e, size)
 
 
 def sample_stable_onesided(alpha: float, rng, size=None):
     """One-sided strictly stable variates, Laplace transform exp(-s^alpha).
 
     Uses the exact uniform-exponential (Kanter) transform for alpha < 1;
-    alpha = 1 is the law degenerate at 1.
+    alpha = 1 is the law degenerate at 1.  With U uniform on (0, pi), E
+    standard exponential and c = (1 - alpha) / alpha, the log of the variate
+    is log sin(alpha U) + c log sin((1 - alpha) U) - log sin(U) / alpha
+    - c log E, summed from the left.
     """
     alpha = _checked("alpha", alpha, 0.0, 1.0, "(]")
+    shape = _shape(size)
     if alpha == 1.0:
-        return 1.0 if size is None else np.ones(size)
-    u = np.pi * rng.random(size)
-    e = -np.log1p(-rng.random(size))
+        return _finish(np.ones(shape), size)
+    u = rng.random(shape)
+    u *= np.pi
     c = (1.0 - alpha) / alpha
-    log_s = (
-        np.log(np.sin(alpha * u))
-        + c * np.log(np.sin((1.0 - alpha) * u))
-        - np.log(np.sin(u)) / alpha
-        - c * np.log(e)
-    )
-    return np.exp(log_s)
+    log_s = np.multiply(alpha, u, out=np.empty_like(u))
+    np.log(np.sin(log_s, out=log_s), out=log_s)
+    term = np.multiply(1.0 - alpha, u, out=np.empty_like(u))
+    np.log(np.sin(term, out=term), out=term)
+    term *= c
+    log_s += term
+    np.log(np.sin(u, out=u), out=u)
+    u /= alpha
+    log_s -= u
+    log_e = _exponential_in_place(rng.random(out=term))  # E goes into a spent buffer
+    np.log(log_e, out=log_e)
+    log_e *= c
+    log_s -= log_e
+    return _finish(np.exp(log_s, out=log_s), size)
 
 
 def sample_stable_ratio(alpha: float, rng, size=None):
@@ -130,10 +169,17 @@ def sample_stable_ratio(alpha: float, rng, size=None):
     degenerate stable factors it divides.
     """
     alpha = _checked("alpha", alpha, 0.0, 1.0, "(]")
+    shape = _shape(size)
     if alpha == 1.0:
-        return 1.0 if size is None else np.ones(size)
-    theta, u = np.pi * alpha, rng.random(size)
-    return (np.sin(theta * u) / np.sin(theta * (1.0 - u))) ** (1.0 / alpha)
+        return _finish(np.ones(shape), size)
+    theta, u = np.pi * alpha, rng.random(shape)
+    ratio = np.multiply(theta, u, out=np.empty_like(u))
+    np.sin(ratio, out=ratio)
+    np.subtract(1.0, u, out=u)
+    u *= theta
+    ratio /= np.sin(u, out=u)
+    ratio **= 1.0 / alpha
+    return _finish(ratio, size)
 
 
 def sample_negbin_odds(r: float, mu: float, rng, size=None):
@@ -146,9 +192,11 @@ def sample_negbin_odds(r: float, mu: float, rng, size=None):
     """
     r = _checked("r", r, 0.0, 1.0, "(]")
     mu = _checked("mu", mu)
+    shape = _shape(size)
     if r == 1.0:
-        return mu if size is None else np.full(size, mu)
-    return mu / rng.beta(r, 1.0 - r, size)
+        return _finish(np.full(shape, mu), size)
+    b = rng.beta(r, 1.0 - r, shape)
+    return _finish(np.divide(mu, b, out=b), size)
 
 
 def sample_negbin(params: NegBinParams, rng, size=None):
@@ -162,7 +210,8 @@ def sample_limit(params: ModelParams, tag: Representation, rng, size=None):
 
     Every representation yields the same distribution on its domain; the
     stable/ratio based forms require r <= 1 and gamma <= 1 and raise
-    :class:`RepresentationDomainError` otherwise.
+    :class:`RepresentationDomainError` otherwise.  Each factor is folded
+    into the result as soon as it is drawn.
     """
     tag = Representation(tag)
     if tag in RESTRICTED_REPRESENTATIONS and (params.r > 1.0 or params.gamma > 1.0):
@@ -172,45 +221,57 @@ def sample_limit(params: ModelParams, tag: Representation, rng, size=None):
         )
     r, lam, gamma = params.r, params.lam, params.gamma
     inv_g = 1.0 / gamma
+    shape = _shape(size)
+
+    def odds_power():  # Z^(1/gamma)
+        z = sample_negbin_odds(r, lam, rng, shape)
+        z **= inv_g
+        return z
 
     if tag is Representation.DIRECT:
-        g = sample_gamma(GammaParams(r, lam), rng, size)
-        w = sample_weibull(gamma, rng, size)
-        return g ** inv_g / w
-    if tag is Representation.SNEDECOR_FISHER:
-        g = sample_gamma(GammaParams(r, 1.0), rng, size)
-        e = rng.standard_exponential(size)
-        q = g / (r * e)
-        return (r * q / lam) ** inv_g
-    if tag is Representation.STABLE:
-        g = sample_gamma(GammaParams(r, lam), rng, size)
-        s = sample_stable_onesided(gamma, rng, size)
-        e = rng.standard_exponential(size)
-        return g ** inv_g * s / e
-    if tag is Representation.WEIBULL_RATIO:
-        w1 = sample_weibull(gamma, rng, size)
-        w2 = sample_weibull(gamma, rng, size)
-        z = sample_negbin_odds(r, lam, rng, size)
-        return (w1 / w2) / z ** inv_g
-    if tag is Representation.PARETO_RATIO:
-        u = rng.random(size)
-        pareto = u / (1.0 - u)  # P(Pi > x) = 1/(1+x)
-        ratio = sample_stable_ratio(gamma, rng, size)
-        z = sample_negbin_odds(r, lam, rng, size)
-        return pareto * ratio / z ** inv_g
-    if tag is Representation.FOLDED_NORMAL:
-        half_normal = np.abs(rng.standard_normal(size))
-        e1 = rng.standard_exponential(size)
-        ratio = sample_stable_ratio(gamma, rng, size)
-        e2 = rng.standard_exponential(size)
-        z = sample_negbin_odds(r, lam, rng, size)
-        return half_normal * np.sqrt(2.0 * e1) * ratio / (e2 * z ** inv_g)
-    if tag is Representation.MIXED_EXPONENTIAL:
-        e = rng.standard_exponential(size)
-        rate_e = rng.standard_exponential(size)
-        ratio = sample_stable_ratio(gamma, rng, size)
-        z = sample_negbin_odds(r, lam, rng, size)
-        return e / (rate_e * ratio * z ** inv_g)
+        out = sample_gamma(GammaParams(r, lam), rng, shape)
+        out **= inv_g
+        out /= sample_weibull(gamma, rng, shape)
+    elif tag is Representation.SNEDECOR_FISHER:
+        out = sample_gamma(GammaParams(r, 1.0), rng, shape)
+        e = rng.standard_exponential(shape)
+        e *= r
+        out /= e  # Q = G / (r E)
+        out *= r
+        out /= lam
+        out **= inv_g
+    elif tag is Representation.STABLE:
+        out = sample_gamma(GammaParams(r, lam), rng, shape)
+        out **= inv_g
+        out *= sample_stable_onesided(gamma, rng, shape)
+        out /= rng.standard_exponential(shape)
+    elif tag is Representation.WEIBULL_RATIO:
+        out = sample_weibull(gamma, rng, shape)
+        out /= sample_weibull(gamma, rng, shape)
+        out /= odds_power()
+    elif tag is Representation.PARETO_RATIO:
+        out = rng.random(shape)
+        out /= np.subtract(1.0, out)  # Pi = U / (1 - U): P(Pi > x) = 1/(1+x)
+        out *= sample_stable_ratio(gamma, rng, shape)
+        out /= odds_power()
+    elif tag is Representation.FOLDED_NORMAL:
+        out = rng.standard_normal(shape)
+        np.abs(out, out=out)
+        e = rng.standard_exponential(shape)
+        e *= 2.0
+        out *= np.sqrt(e, out=e)
+        del e
+        out *= sample_stable_ratio(gamma, rng, shape)
+        den = rng.standard_exponential(shape)
+        den *= odds_power()
+        out /= den
+    else:  # MIXED_EXPONENTIAL
+        out = rng.standard_exponential(shape)
+        den = rng.standard_exponential(shape)
+        den *= sample_stable_ratio(gamma, rng, shape)
+        den *= odds_power()
+        out /= den
+    return _finish(out, size)
 
 
 def simulate_prelimit_max(n: int, params: ModelParams, q: float, pareto_gamma: float, rng, size=None):

@@ -339,6 +339,94 @@ def negbin_odds_gamma_pair(r: float, mu: float, rng, size=None):
     return mu * (g1 + g2) / g1
 
 
+def limit_product_formula(params: ModelParams, tag: str, rng, size):
+    """The limit variate of representation ``tag``, one fresh array per factor.
+
+    The reference for :func:`wetmax.sample_limit`, which folds each factor
+    into its result in place: the same draws in the same order and the same
+    floating operations, so the two agree bit for bit.  Each factor is
+    written as one plain expression, as the samplers once computed it.
+    ``size`` is an int or a tuple.
+    """
+    r, lam, gamma = params.r, params.lam, params.gamma
+    inv_g = 1.0 / gamma
+
+    def gamma_variate(rate):
+        if r < 1.0:
+            g = rng.standard_gamma(r + 1.0, size=size)
+            g = g * (1.0 - rng.random(size)) ** (1.0 / r)
+        else:
+            g = rng.standard_gamma(r, size=size)
+        return g / rate
+
+    def weibull():
+        e = -np.log1p(-rng.random(size))
+        return e ** (1.0 / gamma)
+
+    def stable():
+        if gamma == 1.0:
+            return np.ones(size)
+        u = np.pi * rng.random(size)
+        e = -np.log1p(-rng.random(size))
+        c = (1.0 - gamma) / gamma
+        log_s = (
+            np.log(np.sin(gamma * u))
+            + c * np.log(np.sin((1.0 - gamma) * u))
+            - np.log(np.sin(u)) / gamma
+            - c * np.log(e)
+        )
+        return np.exp(log_s)
+
+    def ratio():
+        if gamma == 1.0:
+            return np.ones(size)
+        theta, u = np.pi * gamma, rng.random(size)
+        return (np.sin(theta * u) / np.sin(theta * (1.0 - u))) ** (1.0 / gamma)
+
+    def odds():
+        return np.full(size, lam) if r == 1.0 else lam / rng.beta(r, 1.0 - r, size)
+
+    if tag == "direct":
+        g = gamma_variate(lam)
+        w = weibull()
+        return g ** inv_g / w
+    if tag == "snedecor-fisher":
+        g = gamma_variate(1.0)
+        e = rng.standard_exponential(size)
+        q = g / (r * e)
+        return (r * q / lam) ** inv_g
+    if tag == "stable":
+        g = gamma_variate(lam)
+        s = stable()
+        e = rng.standard_exponential(size)
+        return g ** inv_g * s / e
+    if tag == "weibull-ratio":
+        w1 = weibull()
+        w2 = weibull()
+        z = odds()
+        return (w1 / w2) / z ** inv_g
+    if tag == "pareto-ratio":
+        u = rng.random(size)
+        pareto = u / (1.0 - u)
+        rho = ratio()
+        z = odds()
+        return pareto * rho / z ** inv_g
+    if tag == "folded-normal":
+        half_normal = np.abs(rng.standard_normal(size))
+        e1 = rng.standard_exponential(size)
+        rho = ratio()
+        e2 = rng.standard_exponential(size)
+        z = odds()
+        return half_normal * np.sqrt(2.0 * e1) * rho / (e2 * z ** inv_g)
+    if tag == "mixed-exponential":
+        e = rng.standard_exponential(size)
+        rate_e = rng.standard_exponential(size)
+        rho = ratio()
+        z = odds()
+        return e / (rate_e * rho * z ** inv_g)
+    raise ValueError(f"unknown representation {tag!r}")
+
+
 def prelimit_max_brute_force(n: int, params: ModelParams, q: float, pareto_gamma: float, rng, size: int):
     """Scaled maximum of N Pareto variates, with N drawn and the maximum taken.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,6 +36,7 @@ from oracles import (
     ks_critical_two_sample,
     ks_two_sample,
     levy_cdf,
+    limit_product_formula,
     negbin_odds_gamma_pair,
     one_sample_ks,
     prelimit_max_brute_force,
@@ -345,6 +347,57 @@ class TestLimitSampler:
         a = sample_limit(ModelParams(1, 1, 1), "direct", make_rng(35), size=5)
         b = sample_limit(ModelParams(1, 1, 1), Representation.DIRECT, make_rng(35), size=5)
         np.testing.assert_array_equal(a, b)
+
+
+# every tag at a restricted triple, at the r = 1 and gamma = 1 edges, and
+# the two unrestricted tags with r and gamma above 1
+PINNED_STREAMS = [
+    pytest.param(triple, tag.value, id=f"{tag.value}-{triple[0]},{triple[1]},{triple[2]}")
+    for triple in [(0.85, 1.5, 0.9), (1.0, 2.0, 1.0), (0.3, 0.7, 0.5), (2.5, 0.4, 2.0)]
+    for tag in Representation
+    if tag not in RESTRICTED_REPRESENTATIONS or max(triple[0], triple[2]) <= 1.0
+]
+
+
+class TestInPlaceArithmetic:
+    @pytest.mark.parametrize("triple,tag", PINNED_STREAMS)
+    def test_streams_equal_the_product_formulas_bit_for_bit(self, triple, tag):
+        p = ModelParams(*triple)
+        for stream, size in enumerate([7, 5000, (3, 4), 0]):
+            rng, twin = make_rng(46, stream), make_rng(46, stream)
+            draws = sample_limit(p, tag, rng, size=size)
+            expected = limit_product_formula(p, tag, twin, size)
+            assert draws.shape == expected.shape
+            assert draws.tobytes() == expected.tobytes()
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("triple,tag", PINNED_STREAMS)
+    def test_one_variate_is_the_one_element_draw_as_a_float(self, triple, tag):
+        p = ModelParams(*triple)
+        for seed in range(50):
+            rng, twin = make_rng(seed), make_rng(seed)
+            value = sample_limit(p, tag, rng)
+            assert type(value) is float
+            assert value == limit_product_formula(p, tag, twin, 1)[0]
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "tag,arrays",
+        [("direct", 2), ("snedecor-fisher", 2), ("stable", 4), ("weibull-ratio", 2),
+         ("pareto-ratio", 3), ("folded-normal", 3), ("mixed-exponential", 4)],
+    )
+    def test_peak_memory_in_arrays_of_the_draws(self, tag, arrays):
+        # each factor is folded into the result as soon as it is drawn
+        n = 200_000
+        p, rng = ModelParams(0.85, 1.5, 0.9), make_rng(47)
+        tracemalloc.start()
+        try:
+            draws = sample_limit(p, tag, rng, size=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.nbytes == 8 * n
+        assert peak <= arrays * 8 * n + 65536  # array headers and small objects
 
 
 class TestPrelimitMax:
