@@ -345,8 +345,7 @@ def limit_product_formula(params: ModelParams, tag: str, rng, size):
     The reference for :func:`wetmax.sample_limit`, which folds each factor
     into its result in place: the same draws in the same order and the same
     floating operations, so the two agree bit for bit.  Each factor is
-    written as one plain expression, as the samplers once computed it.
-    ``size`` is an int or a tuple.
+    one plain expression on fresh arrays.  ``size`` is an int or a tuple.
     """
     r, lam, gamma = params.r, params.lam, params.gamma
     inv_g = 1.0 / gamma
