@@ -148,7 +148,7 @@ class NegBinParams:
 
 def _as_float_array(x, strict=False):  # checked to be >= 0, or > 0 when strict
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0 if strict else arr >= 0.0):
+    if not (arr > 0.0 if strict else arr >= 0.0).all():
         if np.isnan(arr).any():
             raise ValueError("x must not be NaN")
         raise ValueError(f"x must be {'>' if strict else '>='} 0.0, got {float(np.min(arr))!r}")
@@ -167,11 +167,17 @@ def limit_cdf(x, params: ModelParams):
     """Distribution function (lam x^gamma / (1 + lam x^gamma))^r for x >= 0."""
     arr = _as_float_array(x)
     # (t/(1+t))^r written as exp(-r*log1p(1/t)); exact 0 at t=0, exact 1 at
-    # t=inf, so x**gamma overflowing to inf still lands on the right value
+    # t=inf, so x**gamma overflowing to inf still lands on the right value.
+    # Each step after the power runs in place in its result; the 1-d view
+    # gives a 0-d x an array that ufuncs can write to.
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        t = params.lam * arr ** params.gamma
-        out = np.exp(-params.r * np.log1p(1.0 / t))
-    return _maybe_scalar(out, x)
+        out = arr.reshape(-1) ** params.gamma
+        out *= params.lam
+        np.divide(1.0, out, out=out)
+        np.log1p(out, out=out)
+        out *= -params.r
+        np.exp(out, out=out)
+    return _maybe_scalar(out.reshape(arr.shape), x)
 
 
 def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
@@ -184,21 +190,47 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
     ``exp`` and ``log1p``, which are several times faster than its
     per-element loop.  With no r log lam term the density stays exact as r
     and lam grow together towards the Frechet law, where r log pi tends to
-    -(r/lam) x^-gamma.
+    -(r/lam) x^-gamma.  ``logx`` is an array of at least one dimension: the
+    terms are computed in place, in four arrays of its size, by the same
+    operations in the same order as the formulas above.
     """
     gl = gamma * logx
     log_t = np.log(lam) + gl
-    log_pi = -(np.maximum(-log_t, 0.0) + np.log1p(np.exp(-np.abs(log_t))))
-    return (np.log(r * gamma) - logx) + (r * log_pi - (log_t - log_pi)), log_pi, gl
+    log_pi = np.abs(log_t)
+    np.negative(log_pi, out=log_pi)
+    np.exp(log_pi, out=log_pi)
+    np.log1p(log_pi, out=log_pi)
+    out = np.negative(log_t)
+    np.maximum(out, 0.0, out=out)
+    log_pi += out
+    np.negative(log_pi, out=log_pi)
+    log_t -= log_pi
+    np.multiply(r, log_pi, out=out)
+    out -= log_t
+    np.subtract(np.log(r * gamma), logx, out=log_t)
+    out += log_t  # the first bracket plus the second, commuted
+    return out, log_pi, gl
 
 
 def limit_log_pdf(x, params: ModelParams):
-    """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`."""
+    """Log density of the limit law at x > 0, in the stable form of :func:`_log_pdf_terms`.
+
+    Where gamma log x overflows to -inf, t = lam x^gamma is 0 in floats and
+    those terms give nan.  The log density there is the textbook form
+    without its log1p(t) term, log(r gamma) + r log lam + (r gamma - 1) log x,
+    which can be finite; it is written as
+    (log r + log gamma - log x) + r gamma (log x + log(lam) / gamma) so that
+    it is -inf, not nan, where r gamma or the product overflows.
+    """
     arr = _as_float_array(x, strict=True)
+    r, lam, gamma = params.r, params.lam, params.gamma
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out, _, gl = _log_pdf_terms(np.log(arr), params.r, params.lam, params.gamma)
-    # where gamma log x overflows to -inf the terms give -inf - (-inf) = nan, and the density is 0
-    return _maybe_scalar(np.where(gl == -np.inf, -np.inf, out), x)
+        logx = np.log(arr.reshape(-1))
+        out, _, gl = _log_pdf_terms(logx, r, lam, gamma)
+        edge = gl == -np.inf
+        lx = logx[edge]
+        out[edge] = (math.log(r) + math.log(gamma) - lx) + (r * gamma) * (lx + math.log(lam) / gamma)
+    return _maybe_scalar(out.reshape(arr.shape), x)
 
 
 def limit_pdf(x, params: ModelParams):

@@ -16,7 +16,9 @@ of per-spell maxima:
   come out of the normal equations in closed form.
 * :func:`fit_mle` - refines any starting triple by damped Newton steps on
   the log likelihood in log-parameter space, with the exact score and
-  Hessian, and gives standard errors from the observed information.
+  Hessian, and gives standard errors from the observed information.  Its
+  kernel runs in place, in arrays it has already spent, and keeps the bits
+  of the plain expressions.
 
 :func:`fit_negbin` fits the negative binomial law to wet-period durations
 (shifted down by one day so the support starts at zero) and is how the shape
@@ -55,7 +57,7 @@ class MaximaSample:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("maxima sample must be nonempty")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not np.isfinite(arr).all() or (arr <= 0.0).any():
             raise ValueError("maxima must all be finite and > 0")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "sorted_values", np.sort(arr))
@@ -287,18 +289,25 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     = s and d s / d log lam = -q give the Hessian.  Sums of s are direct, so
     no total is subtracted from a nearly equal one.  With ``fix_r`` the log r
     row and column are dropped.  ``logx`` holds log x for the sample.
+    The kernel runs in place in the three arrays the terms return, with the
+    same operations in the same order, so its bits are those of the plain
+    expressions (pinned in ``tests/oracles.py``).
     """
     m = logx.size
     log_pdf, log_pi, gl = _log_pdf_terms(logx, r, lam, gamma)
-    ll = float(np.sum(log_pdf))
-    pi, s = np.exp(log_pi), -np.expm1(log_pi)
-    q = pi * s
-    gl_q = gl * q
-    sum_log_pi, sum_s, gl_s = np.sum(log_pi), np.sum(s), np.dot(gl, s)
+    ll = float(log_pdf.sum())
+    sum_log_pi = log_pi.sum()
+    s = np.expm1(log_pi, out=log_pdf)  # each buffer is reused once its sums are taken
+    np.negative(s, out=s)
+    pi = np.exp(log_pi, out=log_pi)
+    sum_s, gl_s, sum_pi = s.sum(), np.dot(gl, s), pi.sum()
     gl_a = r * gl_s - np.dot(gl, pi)
-    score = np.array([m + r * sum_log_pi, r * sum_s - np.sum(pi), m + gl_a])
+    q = np.multiply(pi, s, out=s)
+    sum_q = q.sum()
+    gl_q = np.multiply(gl, q, out=q)
+    score = np.array([m + r * sum_log_pi, r * sum_s - sum_pi, m + gl_a])
     aa, ab, ac = r * sum_log_pi, r * sum_s, r * gl_s
-    bb, bc = -(r + 1.0) * np.sum(q), -(r + 1.0) * np.sum(gl_q)
+    bb, bc = -(r + 1.0) * sum_q, -(r + 1.0) * gl_q.sum()
     cc = gl_a - (r + 1.0) * np.dot(gl, gl_q)
     hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])
     if fix_r:
@@ -428,7 +437,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         if not all(0.0 < v < math.inf for v in theta):  # exp(u) overflowed or underflowed
             return None
         ll, score, hessian = _score_hessian(logx, *theta, fix_r)
-        if math.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(hessian)):
+        if math.isfinite(ll) and np.isfinite(score).all() and np.isfinite(hessian).all():
             return ll, score, hessian
         return None
 
@@ -443,7 +452,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         iterations = 0
         while iterations < 2000 and math.hypot(*score) >= gtol:
             step = _newton_step(-hessian, score)
-            while np.all(np.isfinite(step)) and np.any(u + step != u):
+            while np.isfinite(step).all() and (u + step != u).any():
                 trial_theta = fixed + np.exp(u + step).tolist()
                 trial = evaluate(trial_theta)
                 if trial is not None and trial[0] > ll:

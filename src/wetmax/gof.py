@@ -49,15 +49,21 @@ def ks_model(sample, params: ModelParams) -> GofResult:
     |(i-1)/m - F(x_(i))|), which is exact even with ties.  It is max(a, b)
     bit for bit, a = i/m - F and b = F - (i-1)/m: rounding is monotone and
     keeps (i-1)/m <= i/m, so a negative one is at most the other in size.
+    The per-point values are computed in place, in three arrays of size m,
+    by the same operations as those formulas, so the distance keeps its bits.
     """
     xs = getattr(sample, "sorted_values", None)  # a MaximaSample keeps its sorted copy
     if xs is None:
         xs = np.sort(_values(sample))
     m = xs.size
     model = np.asarray(limit_cdf(xs, params))
-    i = np.arange(1, m + 1) / m
-    per_point = np.maximum(i - model, model - (i - 1.0 / m))
-    at = int(np.argmax(per_point))
+    i = np.arange(1.0, m + 1.0)  # whole floats, so i / m rounds as (integer i) / m does
+    i /= m
+    per_point = i - model
+    i -= 1.0 / m
+    np.subtract(model, i, out=model)
+    np.maximum(per_point, model, out=per_point)
+    at = int(per_point.argmax())
     return GofResult(float(per_point[at]), float(xs[at]), int(m))
 
 

@@ -580,3 +580,59 @@ def plot_data_per_value(sample, report, grid) -> str:
     for x, e, f in zip(xs, empirical, model):
         lines.append(f"{x:.12g}\t{e:.12g}\t{f:.12g}")
     return "\n".join(lines) + "\n"
+
+
+def log_pdf_terms_expressions(logx, r: float, lam: float, gamma: float):
+    """``distributions._log_pdf_terms`` as plain expressions, a new array per operation.
+
+    The reference for the library kernel, which computes the same
+    operations in place, in the same order; the two agree bit for bit.
+    """
+    gl = gamma * logx
+    log_t = np.log(lam) + gl
+    log_pi = -(np.maximum(-log_t, 0.0) + np.log1p(np.exp(-np.abs(log_t))))
+    return (np.log(r * gamma) - logx) + (r * log_pi - (log_t - log_pi)), log_pi, gl
+
+
+def score_hessian_expressions(logx, r: float, lam: float, gamma: float, fix_r: bool):
+    """``estimation._score_hessian`` as plain expressions over :func:`log_pdf_terms_expressions`.
+
+    The reference for the in-place kernel: the same (ll, score, Hessian)
+    bit for bit.
+    """
+    m = logx.size
+    log_pdf, log_pi, gl = log_pdf_terms_expressions(logx, r, lam, gamma)
+    ll = float(np.sum(log_pdf))
+    pi, s = np.exp(log_pi), -np.expm1(log_pi)
+    q = pi * s
+    gl_q = gl * q
+    sum_log_pi, sum_s, gl_s = np.sum(log_pi), np.sum(s), np.dot(gl, s)
+    gl_a = r * gl_s - np.dot(gl, pi)
+    score = np.array([m + r * sum_log_pi, r * sum_s - np.sum(pi), m + gl_a])
+    aa, ab, ac = r * sum_log_pi, r * sum_s, r * gl_s
+    bb, bc = -(r + 1.0) * np.sum(q), -(r + 1.0) * np.sum(gl_q)
+    cc = gl_a - (r + 1.0) * np.dot(gl, gl_q)
+    hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])
+    if fix_r:
+        return ll, score[1:], hessian[1:, 1:]
+    return ll, score, hessian
+
+
+def limit_cdf_expression(x, params: ModelParams):
+    """:func:`wetmax.limit_cdf` as one expression, unchecked; the reference for its in-place steps."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        t = params.lam * arr ** params.gamma
+        return np.exp(-params.r * np.log1p(1.0 / t))
+
+
+def ks_per_point_expression(sorted_values, params: ModelParams):
+    """max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m) per order statistic, in plain expressions.
+
+    The reference for :func:`wetmax.ks_model`, which computes the same
+    values in place and reports their maximum and where it is attained.
+    """
+    m = sorted_values.size
+    model = limit_cdf_expression(sorted_values, params)
+    i = np.arange(1, m + 1) / m
+    return np.maximum(i - model, model - (i - 1.0 / m))

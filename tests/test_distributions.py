@@ -273,6 +273,27 @@ class TestLimitPdf:
         assert value.tolist() == [-np.inf, -np.inf]
         assert limit_pdf(1e-300, ModelParams(1.0, 1.0, 1e306)) == 0.0
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(1e-3, 1.0, 1e306),
+        ModelParams(0.5, 2.0, 3e305),
+        ModelParams(1e10, 1e-300, 1e306),  # r gamma overflows: the density is below every float
+    ])
+    def test_log_pdf_where_t_underflows_matches_mpmath(self, params):
+        # gamma log x overflows to -inf at x = 1e-300, so t = lam x^gamma is 0 in floats
+        import mpmath  # a test dependency; imported here so that its absence fails only this test
+        x = 1e-300
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            value = limit_log_pdf(x, params)
+            array = limit_log_pdf(np.array([x, 1.0]), params)
+        assert params.gamma * math.log(x) == -math.inf
+        with mpmath.workdps(50):
+            xx, r, lam, g = (mpmath.mpf(v) for v in (x, params.r, params.lam, params.gamma))
+            exact = float(mpmath.log(r * g) + r * mpmath.log(lam) + (r * g - 1) * mpmath.log(xx)
+                          - (r + 1) * mpmath.log1p(lam * xx**g))
+        assert value == pytest.approx(exact, rel=4e-16) if math.isfinite(exact) else value == exact
+        assert array[0] == value
+
     @pytest.mark.parametrize("function", [limit_log_pdf, limit_cdf])
     def test_underflow_raises_nowhere(self, function):
         # exp(-|log t|) underflows at both points, x ** gamma at the left one
