@@ -190,7 +190,8 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
     ``exp`` and ``log1p``, which are several times faster than its
     per-element loop.  With no r log lam term the density stays exact as r
     and lam grow together towards the Frechet law, where r log pi tends to
-    -(r/lam) x^-gamma.  ``logx`` is an array of at least one dimension: the
+    -(r/lam) x^-gamma, and where r gamma overflows log(r gamma) is taken as
+    log r + log gamma.  ``logx`` is an array of at least one dimension: the
     terms are computed in place, in four arrays of its size, by the same
     operations in the same order as the formulas above.
     """
@@ -207,7 +208,9 @@ def _log_pdf_terms(logx, r: float, lam: float, gamma: float):
     log_t -= log_pi
     np.multiply(r, log_pi, out=out)
     out -= log_t
-    np.subtract(np.log(r * gamma), logx, out=log_t)
+    rg = r * gamma
+    log_rg = np.log(rg) if rg < math.inf else math.log(r) + math.log(gamma)  # r gamma overflowed
+    np.subtract(log_rg, logx, out=log_t)
     out += log_t  # the first bracket plus the second, commuted
     return out, log_pi, gl
 

@@ -15,10 +15,10 @@ of per-spell maxima:
   statistics on the log odds of their plotting positions; lam and gamma
   come out of the normal equations in closed form.
 * :func:`fit_mle` - refines any starting triple by damped Newton steps on
-  the log likelihood in log-parameter space, with the exact score and
-  Hessian, and gives standard errors from the observed information.  Its
-  kernel runs in place, in arrays it has already spent, and keeps the bits
-  of the plain expressions.
+  the log likelihood in log-parameter space, and gives standard errors from
+  the observed information.  The fixed-r and free fits run one driver,
+  :func:`_newton_ascent`, over the exact score and Hessian of a kernel that
+  runs in place and keeps the bits of the plain expressions.
 
 :func:`fit_negbin` fits the negative binomial law to wet-period durations
 (shifted down by one day so the support starts at zero) and is how the shape
@@ -406,63 +406,68 @@ def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
     return np.array([x0, x1, x2][3 - score.size:])
 
 
-def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
-    """Maximize the sample log likelihood by damped Newton steps.
+def _newton_ascent(kernel, theta: list, gtol: float):
+    """Damped Newton ascent of a log likelihood in u = log theta, from the floats ``theta``.
 
-    The search runs in log-parameter space, over u = (log r, log lam,
-    log gamma) or over the last two with ``fix_r``, which keeps every
-    iterate strictly positive without constraints.  Each point costs one
-    evaluation of the exact log likelihood, score and Hessian and one
-    Cholesky factor, in plain floats, of the observed information
-    I = -Hessian.  While the score's norm is at least gtol = 1e-6 m, for a
-    sample of size m, and for at most 2000 steps, the step solves
-    I step = score, shifted where I has no Cholesky factor (see
-    :func:`_newton_step`), and is halved until the
-    log likelihood rises strictly.  A trial point where exp(u) overflows or
-    underflows, or where the log likelihood, score or Hessian is not finite,
-    counts as a fall; one ``np.errstate`` keeps numpy quiet for the fit.
-    The fit also stops when halving no longer moves u, so the reported
-    likelihood never falls below that at ``init``.  ``iterations`` counts
-    the accepted steps, and ``converged`` says whether every score
-    component at the reported parameters is at most gtol in size.
-    ``standard_errors`` come from the observed information there, by the
-    delta method; with ``fix_r`` the entry for r is None.
+    ``kernel(theta)`` gives (ll, score, Hessian) in u at a list of positive
+    floats.  While the score's norm is at least ``gtol``, for at most 2000
+    steps, the step solves I step = score with I = -Hessian, shifted where I
+    has no Cholesky factor (see :func:`_newton_step`), and is halved until
+    ll rises strictly.  A trial point where exp(u) overflows or underflows,
+    or where a kernel value is not finite, counts as a fall, and one
+    ``np.errstate`` keeps numpy quiet.  The search stops when halving no
+    longer moves u, so ll never falls below that at the start.  Returns
+    (theta, (ll, score, Hessian), accepted steps) at the last accepted
+    point, or None where the start has no finite values.
     """
-    logx = np.log(sample.values)
-    gtol = 1e-6 * sample.m
-    fixed = [init.r] if fix_r else []
-
     def evaluate(theta):
         """(ll, score, Hessian) at theta, or None where a value is out of range."""
         if not all(0.0 < v < math.inf for v in theta):  # exp(u) overflowed or underflowed
             return None
-        ll, score, hessian = _score_hessian(logx, *theta, fix_r)
+        ll, score, hessian = kernel(theta)
         if math.isfinite(ll) and np.isfinite(score).all() and np.isfinite(hessian).all():
             return ll, score, hessian
         return None
 
-    theta = [init.r, init.lam, init.gamma]
-    u = np.log(theta[1:] if fix_r else theta)
     with np.errstate(all="ignore"):
         point = evaluate(theta)
         if point is None:
-            raise EstimationError(f"invalid start: log likelihood or its derivatives at {init!r} "
-                                  "are not finite")
+            return None
         ll, score, hessian = point
-        iterations = 0
-        while iterations < 2000 and math.hypot(*score) >= gtol:
+        u, steps = np.log(theta), 0
+        while steps < 2000 and math.hypot(*score) >= gtol:
             step = _newton_step(-hessian, score)
             while np.isfinite(step).all() and (u + step != u).any():
-                trial_theta = fixed + np.exp(u + step).tolist()
+                trial_theta = np.exp(u + step).tolist()
                 trial = evaluate(trial_theta)
                 if trial is not None and trial[0] > ll:
                     break
                 step = 0.5 * step
             else:
                 break  # no step that moves u raises the likelihood
-            u, theta, iterations = u + step, trial_theta, iterations + 1
+            u, theta, steps = u + step, trial_theta, steps + 1
             ll, score, hessian = trial
-    params = ModelParams(*theta)
+    return theta, (ll, score, hessian), steps
+
+
+def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> FitReport:
+    """Maximize the sample log likelihood from ``init`` by :func:`_newton_ascent`.
+
+    The fixed-r and free fits run that one driver over the exact kernel
+    :func:`_score_hessian` in u = (log r, log lam, log gamma), or the last two
+    with ``fix_r``, with gtol = 1e-6 m.  ``converged`` says whether every
+    score component at the result is at most gtol in size; ``standard_errors``
+    come from the observed information there, with None for r under ``fix_r``.
+    """
+    logx, gtol = np.log(sample.values), 1e-6 * sample.m
+    fixed = [init.r] if fix_r else []
+    start = [init.r, init.lam, init.gamma][len(fixed):]
+    found = _newton_ascent(lambda theta: _score_hessian(logx, *fixed, *theta, fix_r), start, gtol)
+    if found is None:
+        raise EstimationError(f"invalid start: log likelihood or its derivatives at {init!r} "
+                              "are not finite")
+    theta, (ll, score, hessian), iterations = found
+    params = ModelParams(*fixed, *theta)
     return FitReport(
         params=params,
         method="mle",

@@ -294,6 +294,30 @@ class TestLimitPdf:
         assert value == pytest.approx(exact, rel=4e-16) if math.isfinite(exact) else value == exact
         assert array[0] == value
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(1e300, 1e300, 1e300),
+        ModelParams(1e200, 3.0, 1e200),
+        ModelParams(1e160, 1e-5, 1e160),
+    ])
+    def test_log_pdf_where_r_gamma_overflows_matches_mpmath(self, params):
+        # r gamma is inf in floats, while log r + log gamma is not
+        import mpmath
+        xs = [0.5, 1.0, 1.5, 1e-300, 1e300]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            values = [limit_log_pdf(x, params) for x in xs]
+            array = limit_log_pdf(np.array(xs), params)
+        assert params.r * params.gamma == math.inf
+        for x, value in zip(xs, values):
+            with mpmath.workdps(50):
+                xx, r, lam, g = (mpmath.mpf(v) for v in (x, params.r, params.lam, params.gamma))
+                t = lam * xx**g
+                exact = float(mpmath.log(r * g) - mpmath.log(xx) - r * mpmath.log1p(1 / t)
+                              - mpmath.log1p(t))
+            assert value == pytest.approx(exact, rel=4e-16) if math.isfinite(exact) else value == exact
+        assert array.tolist() == values
+        assert limit_log_pdf(1.0, ModelParams(1e300, 1e300, 1e300)) == 689.7755278982137
+
     @pytest.mark.parametrize("function", [limit_log_pdf, limit_cdf])
     def test_underflow_raises_nowhere(self, function):
         # exp(-|log t|) underflows at both points, x ** gamma at the left one

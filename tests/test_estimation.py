@@ -32,9 +32,9 @@ from wetmax import (
     sample_limit,
     sample_negbin,
 )
-import wetmax.estimation as estimation
 from wetmax.distributions import _log_odds
 from wetmax.estimation import (
+    _newton_ascent,
     _newton_step,
     _score_hessian,
     _solve_shape_equation,
@@ -440,37 +440,39 @@ class TestFitMle:
         assert report.log_likelihood >= ll_oracle - 1e-9 * abs(ll_oracle)
 
     @staticmethod
-    def _fit_with_kernel(monkeypatch, sample, start, fix_r, doctor):
-        """fit_mle with every kernel result passed through doctor(call, result),
-        under warnings as errors; returns the report and the log parameters
-        of every call."""
-        calls = []
+    def _ascent_with_kernel(sample, start, fix_r, doctor):
+        """_newton_ascent over fit_mle's kernel with every result passed through
+        doctor(call, result), under warnings as errors; returns the ascent's
+        params, log likelihood and score, and the log parameters of every call."""
+        logx, fixed, calls = np.log(sample.values), [start.r] if fix_r else [], []
 
-        def kernel(*args):
-            calls.append(args)
-            return doctor(len(calls), _score_hessian(*args))
+        def kernel(theta):
+            calls.append(theta)
+            return doctor(len(calls), _score_hessian(logx, *fixed, *theta, fix_r))
 
-        monkeypatch.setattr(estimation, "_score_hessian", kernel)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = fit_mle(sample, start, fix_r=fix_r)
-        return report, [np.log(args[2:4] if fix_r else args[1:4]) for args in calls]
+            theta, (ll, score, _), _ = _newton_ascent(
+                kernel, [start.r, start.lam, start.gamma][len(fixed):], 1e-6 * sample.m
+            )
+        return ModelParams(*fixed, *theta), ll, score, [np.log(theta) for theta in calls]
 
     @staticmethod
-    def _assert_same_maximum(sample, report, expected, fix_r):
+    def _assert_same_maximum(sample, found, expected, fix_r):
         # both fits stop with every score component below 1e-6 m, so the
         # information times their gap in log space is below 2e-6 m, up to
         # the information's change across the gap
-        assert report.converged is True
-        p, q = report.params, expected.params
+        p, ll, score, _ = found
+        assert np.max(np.abs(score)) <= 1e-6 * sample.m
+        q = expected.params
         _, _, hessian = _score_hessian(np.log(sample.values), q.r, q.lam, q.gamma, fix_r)
         gap = np.log([p.r, p.lam, p.gamma]) - np.log([q.r, q.lam, q.gamma])
         assert np.max(np.abs(hessian @ gap[1 if fix_r else 0:])) <= 2.2e-6 * sample.m
-        assert report.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-12)
+        assert ll == pytest.approx(expected.log_likelihood, rel=1e-12)
 
     @pytest.mark.parametrize("part", ["ll", "score", "hessian"])
     @pytest.mark.parametrize("fix_r", [True, False])
-    def test_non_finite_trial_point_is_rejected_not_raised(self, monkeypatch, fix_r, part):
+    def test_non_finite_trial_point_is_rejected_not_raised(self, fix_r, part):
         # at the first trial point one part of the kernel's result is NaN,
         # while the log likelihood there would otherwise rise: the step must
         # be halved, not taken and not raised
@@ -490,15 +492,16 @@ class TestFitMle:
                 return ll, np.full_like(score, math.nan), hessian
             return ll, score, np.full_like(hessian, math.nan)
 
-        report, points = self._fit_with_kernel(monkeypatch, sample, truth, fix_r, nan_at_first_trial)
+        found = self._ascent_with_kernel(sample, truth, fix_r, nan_at_first_trial)
+        points = found[3]
         np.testing.assert_allclose(points[2] - points[0], (points[1] - points[0]) / 2, rtol=1e-12)
-        self._assert_same_maximum(sample, report, expected, fix_r)
+        self._assert_same_maximum(sample, found, expected, fix_r)
 
     @pytest.mark.parametrize("fix_r", [True, False])
-    def test_out_of_range_trial_step_is_rejected_not_raised(self, monkeypatch, fix_r):
+    def test_out_of_range_trial_step_is_rejected_not_raised(self, fix_r):
         # the Hessian at the start, scaled down a millionfold, stretches the
         # first Newton step until exp(u) overflows or underflows; such trial
-        # points must count as falls, not raise or warn
+        # points must count as falls, not reach the kernel, raise or warn
         truth = ModelParams(0.85, 1.5, 1.2)
         sample = MaximaSample(
             sample_limit(truth, Representation.DIRECT, make_rng(114), size=400)
@@ -506,16 +509,21 @@ class TestFitMle:
         expected = fit_mle(sample, truth, fix_r=fix_r)
         theta = [truth.lam, truth.gamma] if fix_r else [truth.r, truth.lam, truth.gamma]
         _, score, hessian = _score_hessian(np.log(sample.values), truth.r, truth.lam, truth.gamma, fix_r)
+        first = _newton_step(-1e-6 * hessian, score)
         with np.errstate(over="ignore", under="ignore"):
-            first = np.exp(np.log(theta) + np.linalg.solve(-1e-6 * hessian, score))
-        assert not np.all((0.0 < first) & (first < np.inf))
+            trial = np.exp(np.log(theta) + first)
+        assert not np.all((0.0 < trial) & (trial < np.inf))
 
         def flat_at_start(call, result):
             ll, score, hessian = result
             return ll, score, (1e-6 * hessian if call == 1 else hessian)
 
-        report, _ = self._fit_with_kernel(monkeypatch, sample, truth, fix_r, flat_at_start)
-        self._assert_same_maximum(sample, report, expected, fix_r)
+        found = self._ascent_with_kernel(sample, truth, fix_r, flat_at_start)
+        # the first trial that reaches the kernel is the first step halved k >= 1 times
+        halvings = np.log2(first / (found[3][1] - found[3][0]))
+        assert halvings[0] >= 1.0
+        np.testing.assert_allclose(halvings, np.round(halvings[0]), atol=1e-6)
+        self._assert_same_maximum(sample, found, expected, fix_r)
 
     @pytest.mark.parametrize("r, tol", [(1e9, 1e-8), (1e12, 1e-10)])
     def test_log_likelihood_stays_exact_towards_the_frechet_law(self, r, tol):
@@ -546,13 +554,15 @@ class TestFitMle:
 
     @staticmethod
     def _ridge_sample():
-        """Sample of 272 whose likelihood only levels off as r grows (ROADMAP item 1)."""
+        """Sample of 272 whose likelihood only levels off as r grows; CHANGES.md has it
+        in the FOUND line on r-free fits that report converged with no finite maximum."""
         params = ModelParams(2.723676254650796, 2.702371904618805, 0.8057300462913457)
         return MaximaSample(sample_limit(params, Representation.DIRECT, make_rng(10022), size=272))
 
     def test_r_free_ridge_sample_stops_above_the_trust_region_fit(self):
-        # the likelihood of this sample only levels off as r grows (ROADMAP
-        # item 1); the bound lies above the -634.0459961 at which a
+        # the likelihood of this sample only levels off as r grows (the
+        # CHANGES.md FOUND on r-free fits that report converged with no
+        # finite maximum); the bound lies above the -634.0459961 at which a
         # trust-region search stopped after 19 steps
         sample = self._ridge_sample()
         start = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
@@ -665,10 +675,75 @@ class TestNewtonStep:
     @pytest.mark.parametrize("n", [2, 3])
     def test_information_with_a_nan_takes_a_nan_step(self, n):
         # no shift makes such an I positive definite; the step is NaN, which
-        # fit_mle's loop stops on, and the shift loop ends
+        # the Newton driver's loop stops on, and the shift loop ends
         information = np.eye(n)
         information[-1, -1] = math.nan
         assert np.isnan(_newton_step(information, np.ones(n))).all()
+
+
+class TestNewtonAscent:
+    @staticmethod
+    def _quadratic(information, peak):
+        """Kernel of the concave quadratic ll = -(u - peak)' I (u - peak) / 2 in u = log theta."""
+        def kernel(theta):
+            gap = np.log(theta) - peak
+            return -0.5 * float(gap @ information @ gap), -information @ gap, -information
+        return kernel
+
+    @pytest.mark.parametrize("information, peak", [
+        ([[2.0, 0.5], [0.5, 1.0]], [0.3, -1.2]),
+        ([[4.0, 1.0, 0.5], [1.0, 3.0, -0.7], [0.5, -0.7, 2.0]], [1.5, -0.4, 0.2]),
+    ])
+    def test_concave_quadratic_peaks_in_one_accepted_step(self, information, peak):
+        information, peak = np.array(information), np.array(peak)
+        kernel = self._quadratic(information, peak)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, (ll, score, hessian), steps = _newton_ascent(kernel, [1.0] * peak.size, 1e-9)
+        assert steps == 1
+        np.testing.assert_allclose(np.log(theta), peak, rtol=0, atol=1e-12)
+        assert np.max(np.abs(score)) <= 1e-9
+        assert ll == kernel(theta)[0] and ll > kernel([1.0] * peak.size)[0]
+        np.testing.assert_array_equal(hessian, -information)
+
+    def test_kernel_finite_only_at_the_start_returns_the_start(self):
+        # exp(log theta) is not theta for these floats, so the start is
+        # evaluated as given, and no trial point near it is finite
+        start = [0.1, 0.35, 2.0]
+        assert np.exp(np.log(start)).tolist() != start
+
+        def kernel(theta):
+            ll = -1.0 if theta == [0.1, 0.35, 2.0] else math.nan
+            return ll, np.array([1.0, -2.0, 0.5]), -np.eye(3)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, (ll, score, hessian), steps = _newton_ascent(kernel, start, 1e-9)
+        assert steps == 0 and theta == [0.1, 0.35, 2.0] and start == [0.1, 0.35, 2.0]
+        assert ll == -1.0 and score.tolist() == [1.0, -2.0, 0.5]
+
+    @pytest.mark.parametrize("start", [[1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 2.0], [1.0, math.inf]])
+    def test_start_without_finite_values_gives_none(self, start):
+        calls = []
+
+        def kernel(theta):
+            calls.append(theta)
+            return 0.0, np.array([math.nan] * len(theta)), -np.eye(len(theta))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _newton_ascent(kernel, start, 1e-9) is None
+        assert calls == ([start] if all(0.0 < v < math.inf for v in start) else [])
+
+    @pytest.mark.parametrize("fix_r", [True, False])
+    def test_fit_mle_names_an_invalid_start(self, fix_r):
+        sample, init = MaximaSample(np.array([0.5, 1.0, 2.0])), ModelParams(1e200, 1.0, 1e200)
+        with pytest.raises(EstimationError) as excinfo:
+            fit_mle(sample, init, fix_r=fix_r)
+        assert str(excinfo.value) == (
+            "invalid start: log likelihood or its derivatives at "
+            "ModelParams(r=1e+200, lam=1.0, gamma=1e+200) are not finite"
+        )
 
 
 class TestStandardErrors:
