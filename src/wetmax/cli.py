@@ -20,6 +20,7 @@ operation.  Both give the same bytes as one ``%.17g`` / ``%.12g`` per value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -222,23 +223,33 @@ def _fit_setup(args, duration_list):
         _fit_method, r_value=r_value, triple=triple, tau_grid=tau_grid)
 
 
+def _estimate(method, sample, r_value, triple, tau_grid) -> ModelParams:
+    """The parameters that ``quantile`` (over ``tau_grid`` where given) or ``ls`` fits."""
+    if method == "ls":
+        return ModelParams(r_value, *fit_least_squares(sample, r_value))
+    if tau_grid is not None:
+        return fit_quantile_tau_scan(sample, tau_grid, r=r_value)[0]
+    return fit_quantile(sample, triple, r=r_value)
+
+
 def _fit_method(method, sample, earlier, r_value, triple, tau_grid):
     """One method's FitReport; ``earlier`` maps the methods already fitted to theirs.
 
-    The MLE starts from the ``ls`` report when r is known, else from the
-    ``quantile`` one (over ``tau_grid``), taken from ``earlier`` or fitted here.
+    The MLE starts from the ``ls`` parameters when r is known, else from the
+    ``quantile`` ones (over ``tau_grid``), taken from ``earlier`` or fitted
+    here.  The report's uniform distance is measured here, once per report,
+    and a start fitted here is not measured.
     """
     if method == "mle":
         base = "ls" if r_value is not None else "quantile"
-        start = earlier.get(base) or _fit_method(base, sample, earlier, r_value, triple, tau_grid)
-        return fit_mle(sample, start.params, fix_r=r_value is not None)
-    if method == "ls":
-        params = ModelParams(r_value, *fit_least_squares(sample, r_value))
-    elif tau_grid is not None:
-        params, _tau = fit_quantile_tau_scan(sample, tau_grid, r=r_value)
+        if base in earlier:
+            start = earlier[base].params
+        else:
+            start = _estimate(base, sample, r_value, triple, tau_grid)
+        report = fit_mle(sample, start, fix_r=r_value is not None)
     else:
-        params = fit_quantile(sample, triple, r=r_value)
-    return FitReport(params, method, ks_model(sample, params).ks_distance, sample.m)
+        report = FitReport(_estimate(method, sample, r_value, triple, tau_grid), method, None, sample.m)
+    return dataclasses.replace(report, ks_distance=ks_model(sample, report.params).ks_distance)
 
 
 def _cmd_fit(args) -> int:

@@ -94,15 +94,19 @@ class QuantileTriple:
 class FitReport:
     """Estimated parameters plus fit diagnostics.
 
-    ``log_likelihood``, ``iterations``, ``converged`` and ``standard_errors``
-    are set by the MLE only.  ``standard_errors`` maps ``r``, ``lambda`` and
-    ``gamma`` to their standard errors, ``r`` to None when it was held fixed,
-    and is None when the observed information is not positive definite.
+    ``ks_distance`` is the uniform distance of the fitted law to the
+    sample's empirical d.f., or None where it was not measured:
+    :func:`fit_mle` leaves it None, and the CLI measures each report it
+    prints, of every method, once.  ``log_likelihood``, ``iterations``,
+    ``converged`` and ``standard_errors`` are set by the MLE only.
+    ``standard_errors`` maps ``r``, ``lambda`` and ``gamma`` to their
+    standard errors, ``r`` to None when it was held fixed, and is None when
+    the observed information is not positive definite.
     """
 
     params: ModelParams
     method: str
-    ks_distance: float
+    ks_distance: Optional[float]
     m: int
     log_likelihood: Optional[float] = None
     iterations: Optional[int] = None
@@ -458,6 +462,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
     with ``fix_r``, with gtol = 1e-6 m.  ``converged`` says whether every
     score component at the result is at most gtol in size; ``standard_errors``
     come from the observed information there, with None for r under ``fix_r``.
+    ``ks_distance`` is None: the caller measures the fit where it needs to.
     """
     logx, gtol = np.log(sample.values), 1e-6 * sample.m
     fixed = [init.r] if fix_r else []
@@ -471,7 +476,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
     return FitReport(
         params=params,
         method="mle",
-        ks_distance=gof.ks_model(sample, params).ks_distance,
+        ks_distance=None,
         m=sample.m,
         log_likelihood=ll,
         iterations=iterations,

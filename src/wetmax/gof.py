@@ -6,8 +6,10 @@ from order statistics, never on a grid, so small discrepancies are not
 blurred away.
 
 :func:`emit_plot_data` writes the empirical-vs-model table of a fit.  It
-takes the distance from the fit's report rather than recomputing it, and
-formats all rows in one ``%`` operation.
+takes the distance from the fit's report where the report has one, and
+measures it by :func:`ks_model` only where the report has none (as
+:func:`~wetmax.estimation.fit_mle` leaves it), and formats all rows in one
+``%`` operation.
 
 :func:`tail_index` is a Hill-type diagnostic for the regular-variation
 (power tail) assumption the limit model rests on.
@@ -93,15 +95,19 @@ def emit_plot_data(sample, report: FitReport, grid) -> str:
 
     ``sample`` is the :class:`~wetmax.estimation.MaximaSample` that was
     fitted and ``report`` its fit.  The header line carries the report's
-    uniform distance, m and parameters; each row holds x, the empirical
-    d.f. at x and the model d.f. at x.
+    uniform distance (measured here by :func:`ks_model` where the report's
+    is None), m and parameters; each row holds x, the empirical d.f. at x
+    and the model d.f. at x.
     """
     xs = np.asarray(grid, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("grid must be nonempty")
     params = report.params
+    ks = report.ks_distance
+    if ks is None:
+        ks = ks_model(sample, params).ks_distance
     header = (
-        f"# ks={report.ks_distance:.12g} m={report.m} "
+        f"# ks={ks:.12g} m={report.m} "
         f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}\n"
     )
     empirical = np.searchsorted(sample.sorted_values, xs, side="right") / sample.m

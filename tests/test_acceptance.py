@@ -243,7 +243,7 @@ def test_criterion_07_estimator_recovery():
         quantile_hits += err < 0.15
         refined = fit_mle(sample, rough)
         likelihood_monotone += refined.log_likelihood >= log_likelihood(sample.values, rough)
-        ks_improved += refined.ks_distance <= ks_model(sample, rough).ks_distance
+        ks_improved += ks_model(sample, refined.params).ks_distance <= ks_model(sample, rough).ks_distance
     if quantile_hits < 45:
         problems.append(f"quantile method within 15% on only {quantile_hits}/50 seeds")
     if likelihood_monotone < 50:

@@ -14,7 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetmax import ModelParams, Representation, cli, make_rng, sample_limit, simulate_prelimit_max
+from wetmax import (
+    CensoringSpec,
+    ModelParams,
+    Representation,
+    build_maxima,
+    cli,
+    gof,
+    ingest_csv,
+    ks_model,
+    make_rng,
+    sample_limit,
+    segment,
+    simulate_prelimit_max,
+)
 from wetmax.cli import main
 
 from oracles import simulate_text_per_value
@@ -393,6 +406,49 @@ class TestGofSweepCommand:
         assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all",
                      "--r", "from-durations", "--h-range", "1:15"]) == 0
         assert len(calls) == 15
+
+
+class TestOneDistancePerReport:
+    @pytest.mark.parametrize("argv,reports", [
+        (["fit", "--method", "mle"], 1),
+        (["fit", "--method", "all"], 2),
+        (["fit", "--method", "all", "--r", "0.85"], 3),
+        (["gof-sweep", "--method", "mle", "--r", "0.85", "--h-range", "1:3"], 3),
+    ])
+    def test_one_ks_model_call_per_printed_report(self, argv, reports, monkeypatch, tmp_path, capsys):
+        # the start that the MLE fits for itself is not measured, nor is a plot table
+        calls = []
+
+        def counting(sample, params):
+            calls.append(params)
+            return measure(sample, params)
+
+        measure = gof.ks_model
+        monkeypatch.setattr(gof, "ks_model", counting)
+        monkeypatch.setattr(cli, "ks_model", counting)
+        plots = ["--plot-dir", str(tmp_path)] if argv[0] == "gof-sweep" else []
+        assert main([*argv, "--input", SEED42_CSV, *plots]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "fit":
+            printed = len(json.loads(out)["reports"])
+        else:
+            printed = sum(cell != "" for line in out.splitlines()[1:] for cell in line.split("\t")[2:])
+            assert len(list(tmp_path.iterdir())) == printed
+        assert len(calls) == printed == reports
+
+    @pytest.mark.parametrize("r", [["--r", "0.85"], []])
+    def test_mle_distance_is_that_of_its_params(self, r, tmp_path, capsys):
+        assert main(["fit", "--input", SEED42_CSV, "--method", "all", *r]) == 0
+        mle = json.loads(capsys.readouterr().out)["reports"]["mle"]
+        sample = build_maxima(segment(ingest_csv(SEED42_CSV)), CensoringSpec(1))
+        ks = ks_model(sample, ModelParams(mle["r"], mle["lambda"], mle["gamma"])).ks_distance
+        assert mle["ks_distance"] == ks
+        assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all", *r, "--h-range", "1:1",
+                     "--plot-dir", str(tmp_path)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split("\t"), row.split("\t")))["ks_mle"] == f"{ks:.12g}"
+        plot_header = (tmp_path / "gof_h1_mle.tsv").read_text().splitlines()[0]
+        assert plot_header.startswith(f"# ks={ks:.12g} m={sample.m} r={mle['r']:.12g} ")
 
 
 SIMULATE_ARGV = ["simulate", "--r", "0.876", "--lambda", "2.0", "--gamma", "0.9", "--seed", "3"]

@@ -374,7 +374,7 @@ class TestFitMle:
         report = fit_mle(sample, truth)
         assert report.method == "mle"
         assert report.m == 500
-        assert 0.0 <= report.ks_distance <= 1.0
+        assert report.ks_distance is None  # measured by the caller, where it is reported
         assert report.iterations >= 1
         assert report.converged is True
         assert sorted(report.standard_errors) == ["gamma", "lambda", "r"]

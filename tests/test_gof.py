@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from wetmax import (
     ModelParams,
     Representation,
     emit_plot_data,
+    fit_mle,
     ks_model,
     limit_cdf,
     limit_quantile,
@@ -203,6 +206,19 @@ class TestEmitPlotData:
         report = FitReport(p, "mle", 0.123456789012345, 7)
         header = emit_plot_data(sample, report, [1.0]).splitlines()[0]
         assert header == "# ks=0.123456789012 m=7 r=0.85 lambda=1.5 gamma=1.2"
+
+    def test_bare_mle_report_is_measured(self):
+        # fit_mle leaves the distance None; the table then measures it itself
+        p = ModelParams(0.85, 1.5, 1.2)
+        sample = MaximaSample(sample_limit(p, Representation.DIRECT, make_rng(306), size=300))
+        bare = fit_mle(sample, p)
+        assert bare.ks_distance is None
+        measured = dataclasses.replace(bare, ks_distance=ks_model(sample, bare.params).ks_distance)
+        grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 21)
+        text, expected = emit_plot_data(sample, bare, grid), emit_plot_data(sample, measured, grid)
+        assert text.splitlines()[0] == expected.splitlines()[0]
+        assert text.splitlines()[0].startswith(f"# ks={measured.ks_distance:.12g} m=300 ")
+        assert text == expected
 
     def test_model_column_at_zero(self):
         p = ModelParams(0.85, 1.5, 1.2)
