@@ -88,12 +88,11 @@ def _add_fit_options(sub):
     sub.add_argument("--r", default=None,
                      help="known shape r (float) or 'from-durations' to fit it "
                           "from the wet-period lengths")
-    sub.add_argument("--p1", type=float, default=0.25)
-    sub.add_argument("--p2", type=float, default=0.50)
-    sub.add_argument("--p3", type=float, default=0.75)
+    for level in ("--p1", "--p2", "--p3"):  # QuantileTriple holds their defaults
+        sub.add_argument(level, type=float)
     sub.add_argument("--tau-grid", default=None,
                      help="comma separated taus in (0, 0.25); scans triples "
-                          "(tau, 1/2, 1-tau) and keeps the best fit")
+                          "(tau, 1/2, 1-tau) and keeps the best fit, in place of --p1..--p3")
 
 
 @functools.cache
@@ -140,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="draw variates from the limit law")
     _add_law_options(sim)
-    sim.add_argument("--tag", default=Representation.DIRECT.value,
-                     choices=[t.value for t in Representation])
+    sim.add_argument("--tag", choices=[t.value for t in Representation],
+                     help=f"product representation (default {Representation.DIRECT.value})")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--prelimit-n", type=int, default=None,
                      help="draw pre-limit scaled maxima of Pareto samples of "
                           "effective size N~NegBin(r, min(q, lambda/n)) instead")
-    sim.add_argument("--q", type=float, default=0.5)
+    sim.add_argument("--q", type=float, help="cap on p for --prelimit-n (default 0.5)")
     sim.add_argument("--pareto-gamma", type=float, default=None)
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)
@@ -208,56 +207,60 @@ def _resolve_r(args, duration_list):
 
 
 def _fit_setup(args, duration_list):
-    """(r value, its source, methods, fit) of the fit options; ``fit(method, sample, earlier)``."""
+    """(r value, its source, methods, fit) of the fit options; ``fit(sample)`` runs :func:`_fit_reports`."""
     r_value, r_source = _resolve_r(args, duration_list)
     if args.method == "ls" and r_value is None:
         raise ValueError("method 'ls' needs a known shape: pass --r VALUE or --r from-durations")
     methods = [m for m in METHODS if args.method in (m, "all") and (m != "ls" or r_value is not None)]
-    triple = QuantileTriple(args.p1, args.p2, args.p3)
+    levels = {p: getattr(args, p) for p in ("p1", "p2", "p3") if getattr(args, p) is not None}
+    if args.tau_grid and levels:
+        raise ValueError(f"--{min(levels)} has no effect with --tau-grid")
     try:
-        tau_grid = ([float(tok) for tok in args.tau_grid.split(",") if tok.strip()]
-                    if args.tau_grid else None)
+        tau_grid = [float(tok) for tok in args.tau_grid.split(",") if tok.strip()] if args.tau_grid else None
     except ValueError:
         raise ValueError(f"cannot parse --tau-grid {args.tau_grid!r}") from None
     return r_value, r_source, methods, functools.partial(
-        _fit_method, r_value=r_value, triple=triple, tau_grid=tau_grid)
+        _fit_reports, methods=methods, r_value=r_value, triple=QuantileTriple(**levels), tau_grid=tau_grid)
 
 
-def _estimate(method, sample, r_value, triple, tau_grid) -> ModelParams:
-    """The parameters that ``quantile`` (over ``tau_grid`` where given) or ``ls`` fits."""
-    if method == "ls":
-        return ModelParams(r_value, *fit_least_squares(sample, r_value))
-    if tau_grid is not None:
-        return fit_quantile_tau_scan(sample, tau_grid, r=r_value)[0]
-    return fit_quantile(sample, triple, r=r_value)
+def _fit_reports(sample, methods, r_value, triple, tau_grid):
+    """Each method's FitReport, measured once, or the EstimationError that stopped it, by method.
 
-
-def _fit_method(method, sample, earlier, r_value, triple, tau_grid):
-    """One method's FitReport; ``earlier`` maps the methods already fitted to theirs.
-
-    The MLE starts from the ``ls`` parameters when r is known, else from the
-    ``quantile`` ones (over ``tau_grid``), taken from ``earlier`` or fitted
-    here.  The report's uniform distance is measured here, once per report,
-    and a start fitted here is not measured.
+    ``quantile`` (over ``tau_grid`` where given) and ``ls`` are fitted at most
+    once: the MLE starts from ``ls`` when r is known, else from ``quantile``,
+    and fails with its start's error.  An unreported start is not measured.
     """
-    if method == "mle":
-        base = "ls" if r_value is not None else "quantile"
-        if base in earlier:
-            start = earlier[base].params
-        else:
-            start = _estimate(base, sample, r_value, triple, tau_grid)
-        report = fit_mle(sample, start, fix_r=r_value is not None)
-    else:
-        report = FitReport(_estimate(method, sample, r_value, triple, tau_grid), method, None, sample.m)
-    return dataclasses.replace(report, ks_distance=ks_model(sample, report.params).ks_distance)
+    def estimate(method) -> ModelParams:
+        if method == "ls":
+            return ModelParams(r_value, *fit_least_squares(sample, r_value))
+        if tau_grid is not None:
+            return fit_quantile_tau_scan(sample, tau_grid, r=r_value)[0]
+        return fit_quantile(sample, triple, r=r_value)
+
+    base = "ls" if r_value is not None else "quantile"
+    fits: dict[str, FitReport | EstimationError] = {}
+    for method in methods:  # in METHODS order: the MLE's start comes first where it is reported
+        try:
+            if method != "mle":
+                fits[method] = FitReport(estimate(method), method, None, sample.m)
+            elif isinstance(start := fits.get(base), EstimationError):
+                fits[method] = start
+            else:
+                params = start.params if start is not None else estimate(base)
+                fits[method] = fit_mle(sample, params, fix_r=r_value is not None)
+        except EstimationError as exc:
+            fits[method] = exc
+    return {method: fit if isinstance(fit, EstimationError)
+            else dataclasses.replace(fit, ks_distance=ks_model(sample, fit.params).ks_distance)
+            for method, fit in fits.items()}
 
 
 def _cmd_fit(args) -> int:
     sample, duration_list = _load_sample(args)
-    r_value, r_source, methods, fit = _fit_setup(args, duration_list)
-    reports: dict[str, FitReport] = {}
-    for method in methods:
-        reports[method] = fit(method, sample, reports)
+    r_value, r_source, _methods, fit = _fit_setup(args, duration_list)
+    reports = fit(sample)
+    if failed := [report for report in reports.values() if isinstance(report, EstimationError)]:
+        raise failed[0]
     doc = {
         "input": args.input,
         "m": sample.m,
@@ -295,16 +298,10 @@ def _cmd_gof_sweep(args) -> int:
         cells = [str(h), str(sample.m)]
         if plot_dir is not None:
             grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201)
-        reports: dict[str, FitReport] = {}
-        for method in methods:
-            try:
-                report = fit(method, sample, reports)
-            except EstimationError:
-                cells.append("")
-                continue
-            reports[method] = report
-            cells.append(f"{report.ks_distance:.12g}")
-            if plot_dir is not None:
+        for method, report in fit(sample).items():
+            failed = isinstance(report, EstimationError)
+            cells.append("" if failed else f"{report.ks_distance:.12g}")
+            if plot_dir is not None and not failed:
                 path = plot_dir / f"gof_h{h}_{method}.tsv"
                 path.write_text(emit_plot_data(sample, report, grid))
         lines.append("\t".join(cells))
@@ -317,15 +314,20 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
+    if args.prelimit_n is None and (args.q, args.pareto_gamma) != (None, None):
+        raise ValueError("--q and --pareto-gamma have no effect without --prelimit-n")
+    if args.prelimit_n is not None and args.tag is not None:
+        raise ValueError("--tag has no effect with --prelimit-n")
     params = _model_params_from(args)
     rng = make_rng(args.seed)
     with np.errstate(all="ignore"):  # a draw beyond the float range is rejected below
         if args.prelimit_n is not None:
+            q = args.q if args.q is not None else 0.5
             pareto_gamma = args.pareto_gamma if args.pareto_gamma is not None else params.gamma
-            values = simulate_prelimit_max(args.prelimit_n, params, args.q, pareto_gamma, rng, size=args.n)
+            values = simulate_prelimit_max(args.prelimit_n, params, q, pareto_gamma, rng, size=args.n)
             inside, support = values >= 0.0, "[0, inf)"  # 0 is the empty maximum
         else:
-            values = sample_limit(params, Representation(args.tag), rng, size=args.n)
+            values = sample_limit(params, Representation(args.tag or Representation.DIRECT), rng, size=args.n)
             inside, support = values > 0.0, "(0, inf)"
         inside &= values < np.inf
     if not inside.all():
@@ -367,12 +369,9 @@ def main(argv=None) -> int:
         # stdout at the null device so that its flush at exit stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (EstimationError, EmptySampleError) as exc:
+    except (EstimationError, EmptySampleError, CsvFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CsvFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (EstimationError, EmptySampleError)) else 2
     except MemoryError as exc:  # e.g. a simulate --n whose draws cannot be allocated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

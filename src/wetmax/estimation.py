@@ -495,8 +495,10 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     Durations are whole days >= 1 while the negative binomial is supported
     on {0, 1, 2, ...}, so the fit is applied to durations - 1.  Moment
     estimates seed a one-dimensional likelihood maximization in the shape r,
-    with p profiled out as p = r / (r + mean).  Data whose variance does not
-    exceed the mean carry no overdispersion signal and are rejected.
+    with p profiled out as p = r / (r + mean).  The profile likelihood has a
+    finite maximum exactly when the variance with divisor m, var_m, exceeds
+    the mean: for large r the score below is about m (mean - var_m) / (2 r^2).
+    Data with var_m <= mean carry no overdispersion signal and are rejected.
 
     The fit runs on the counts of the distinct durations, their sufficient
     statistic: with counts c_j of the shifted values k_j, m spells and
@@ -506,11 +508,13 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     sum c_j digamma(r + k_j) - m digamma(r) - m log1p(mean / r).
     So its cost grows with the number of distinct lengths, not of spells,
     and the result depends only on the multiset of durations, bit for bit.
-    r is the root of the score in log r, found by ``brentq`` on
-    log r0 +- 7 around the moment estimate r0 to about 1e-12 relative.
-    Where the score does not change sign there, the fit returns the end
-    that the likelihood rises towards: the upper one when the score is
-    >= 0 there, else the lower one when it is <= 0 there.
+    r is the root of the score in log r, found by ``brentq`` to about 1e-12
+    relative on log r0 +- 7 around the moment estimate r0 (divisor m - 1).
+    Where the score keeps its sign over that bracket, the bracket moves by 7
+    in the direction the score points until the sign changes.  Above the
+    first bracket the digamma differences, which cancel to rounding noise
+    there, are summed exactly as sum_i N_i / (r + i), N_i the spells with
+    k > i, at a cost that grows with the longest spell.
     """
     arr = np.asarray(durations)
     if arr.size < 2:
@@ -530,30 +534,35 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
     pairs = [(c, int(v) - 1) for v, c in zip(values.tolist(), counts.tolist())]
     total = sum(c * k for c, k in pairs)
     square = sum(c * k * k for c, k in pairs)
-    excess = m * square - total * total - (m - 1) * total  # m (m - 1) (var - mean)
+    spread = m * square - total * total  # m^2 var_m
     mean = total / m
-    if excess <= 0:
-        var = (m * square - total * total) / (m * (m - 1))
+    if spread <= m * total:
+        var = spread / (m * m)
         raise EstimationError(
             f"no overdispersion: variance {var:.6g} <= mean {mean:.6g}; "
             "negative binomial fit with r > 0 unavailable "
             "(data sit at the geometric/Poisson boundary)"
         )
-    r0 = total * total * (m - 1) / (m * excess)
+    r0 = total * total * (m - 1) / (m * (spread - (m - 1) * total))
     shifted = values.astype(float) - 1.0
     counts = counts.astype(float)
+
+    lo, hi = math.log(r0) - 7.0, math.log(r0) + 7.0
+    top = hi
 
     def profile_score(log_r):
         # d/dr of the profile log likelihood; its terms in log(1 - p) cancel
         r = math.exp(log_r)
-        return float(counts @ digamma(r + shifted)) - m * float(digamma(r)) - m * math.log1p(mean / r)
+        if log_r <= top:
+            rise = float(counts @ digamma(r + shifted)) - m * float(digamma(r))
+        else:  # N_i for i < the longest k, built only where a fit needs it
+            longer = m - np.cumsum(np.bincount(shifted.astype(np.int64), weights=counts))[:-1]
+            rise = float(longer @ (1.0 / (r + np.arange(longer.size))))
+        return rise - m * math.log1p(mean / r)
 
-    lo, hi = math.log(r0) - 7.0, math.log(r0) + 7.0
-    if profile_score(hi) >= 0.0:
-        log_r = hi
-    elif profile_score(lo) <= 0.0:
-        log_r = lo
-    else:
-        log_r = brentq(profile_score, lo, hi)
-    r_hat = math.exp(log_r)
+    while profile_score(hi) > 0.0:  # the root lies above the bracket
+        lo, hi = hi, hi + 7.0
+    while profile_score(lo) < 0.0:  # the root lies below it
+        lo, hi = lo - 7.0, lo
+    r_hat = math.exp(brentq(profile_score, lo, hi))
     return NegBinParams(r_hat, r_hat / (r_hat + mean))

@@ -48,11 +48,14 @@ def ks_model(sample, params: ModelParams) -> GofResult:
     """Exact sup |empirical d.f. - model d.f.|.
 
     Evaluated over order statistics as max(|i/m - F(x_(i))|,
-    |(i-1)/m - F(x_(i))|), which is exact even with ties.  It is max(a, b)
-    bit for bit, a = i/m - F and b = F - (i-1)/m: rounding is monotone and
-    keeps (i-1)/m <= i/m, so a negative one is at most the other in size.
-    The per-point values are computed in place, in three arrays of size m,
-    by the same operations as those formulas, so the distance keeps its bits.
+    |(i-1)/m - F(x_(i))|), which is exact even with ties.  In floats the
+    lower level (i-1)/m is computed as i/m - 1/m, which differs from a
+    once-rounded (i-1)/m in the last bit at about a quarter of the points.
+    The distance is max(a, b) bit for bit, a = i/m - F and
+    b = F - (i/m - 1/m): rounding is monotone and keeps i/m - 1/m <= i/m, so
+    a negative one is at most the other in size.  The per-point values are
+    computed in place, in three arrays of size m, by the same operations as
+    those formulas, so the distance keeps its bits.
     """
     xs = getattr(sample, "sorted_values", None)  # a MaximaSample keeps its sorted copy
     if xs is None:

@@ -500,8 +500,9 @@ def fit_negbin_per_spell(durations) -> NegBinParams:
     """Negative binomial fit summing the profile likelihood over every spell.
 
     The reference for :func:`wetmax.fit_negbin`, which sums over the
-    distinct durations weighted by their counts instead.  The checks, the
-    moment start and the bounded search in log r are the same.
+    distinct durations weighted by their counts instead.  The checks, among
+    them the gate on the variance with divisor m, and the moment start are
+    the same; the search is bounded to the first bracket log r0 +- 7.
     """
     arr = np.asarray(durations)
     if arr.size < 2:
@@ -516,14 +517,14 @@ def fit_negbin_per_spell(durations) -> NegBinParams:
         )
     shifted = arr.astype(float) - 1.0
     mean = float(shifted.mean())
-    var = float(shifted.var(ddof=1))
+    var = float(shifted.var())
     if var <= mean:
         raise EstimationError(
             f"no overdispersion: variance {var:.6g} <= mean {mean:.6g}; "
             "negative binomial fit with r > 0 unavailable "
             "(data sit at the geometric/Poisson boundary)"
         )
-    r0 = mean * mean / (var - mean)
+    r0 = mean * mean / (float(shifted.var(ddof=1)) - mean)
 
     def negative_profile_ll(log_r):
         r = float(np.exp(log_r))

@@ -275,6 +275,22 @@ class TestFitCommand:
         assert err.startswith("error: quantile fit failed") and err.count("\n") == 1
         assert "kappa" in err and "Traceback" not in err
 
+    def test_unparsable_r_exits_2(self, capsys):
+        assert main(["fit", "--input", SEED42_CSV, "--r", "abc"]) == 2
+        assert capsys.readouterr().err == "error: --r must be a number or 'from-durations', got 'abc'\n"
+
+    def test_unparsable_tau_grid_exits_2(self, capsys):
+        assert main(["fit", "--input", SEED42_CSV, "--tau-grid", "0.1,x"]) == 2
+        assert capsys.readouterr().err == "error: cannot parse --tau-grid '0.1,x'\n"
+
+    def test_durations_without_overdispersion_exit_3(self, tmp_path, capsys):
+        # wet periods of 1, 3, 1 and 3 days: their variance with divisor m equals their mean
+        path = tmp_path / "twelve.csv"
+        path.write_text("1\n0\n2\n3\n4\n0\n5\n0\n6\n7\n8\n0\n")
+        assert main(["fit", "--input", str(path), "--method", "quantile", "--r", "from-durations"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no overdispersion: variance 1 <= mean 1;") and err.count("\n") == 1
+
     def test_ls_without_r_is_config_error(self, capsys):
         assert main(["fit", "--input", SEED42_CSV, "--method", "ls"]) == 2
 
@@ -391,7 +407,7 @@ class TestGofSweepCommand:
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "5:1"]) == 2
         assert main(["gof-sweep", "--input", SEED42_CSV, "--h-range", "abc"]) == 2
 
-    def test_one_least_squares_fit_per_threshold(self, monkeypatch, capsys):
+    def test_one_least_squares_fit_per_threshold(self, monkeypatch, tmp_path, capsys):
         calls = []
 
         def counting(*args, **kwargs):
@@ -406,6 +422,20 @@ class TestGofSweepCommand:
         assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all",
                      "--r", "from-durations", "--h-range", "1:15"]) == 0
         assert len(calls) == 15
+        # least squares puts lam at 0 on these draws: the MLE, which starts
+        # from it, fails with its error and does not fit it again
+        calls.clear()
+        capsys.readouterr()
+        path = write_scaled_draws(tmp_path)
+        assert main(["gof-sweep", "--input", path, "--method", "all", "--r", "0.85", "--h-range", "1:1"]) == 0
+        assert capsys.readouterr() == ("h\tm\tks_quantile\tks_ls\tks_mle\n1\t300\t\t\t\n", "")
+        assert len(calls) == 1
+        # fit reports the first failure in method order, and the MLE alone its start's
+        lam_error = "fit produced invalid parameters: lam must lie in (0.0, inf), got 0.0\n"
+        assert main(["fit", "--input", path, "--method", "all", "--r", "0.85"]) == 3
+        assert capsys.readouterr().err == "error: quantile " + lam_error
+        assert main(["fit", "--input", path, "--method", "mle", "--r", "0.85"]) == 3
+        assert capsys.readouterr().err == "error: least squares " + lam_error
 
 
 class TestOneDistancePerReport:
@@ -665,6 +695,18 @@ REMOVED_FLAGS = [
 ]
 
 
+SIMULATE_DRAWS = ["simulate", "--r", "0.85", "--lambda", "1.5", "--gamma", "1.2", "--n", "20"]
+FIT_OVER_TAU_GRID = ["--input", SEED42_CSV, "--method", "quantile", "--tau-grid", "0.05,0.1"]
+# (valid arguments, a flag that has no effect with them and a value, the reason)
+FLAGS_OF_NO_EFFECT_WITH = [
+    *((["fit", *FIT_OVER_TAU_GRID], level, "0.3", "with --tau-grid") for level in ("--p1", "--p2", "--p3")),
+    (["gof-sweep", *FIT_OVER_TAU_GRID, "--h-range", "1:1"], "--p2", "0.5", "with --tau-grid"),
+    (SIMULATE_DRAWS, "--q", "0.9", "without --prelimit-n"),
+    (SIMULATE_DRAWS, "--pareto-gamma", "1.2", "without --prelimit-n"),
+    (SIMULATE_DRAWS + ["--prelimit-n", "10"], "--tag", "direct", "with --prelimit-n"),
+]
+
+
 class TestFlagsOfNoEffect:
     @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
     def test_are_unrecognized(self, command, flag, value, capsys):
@@ -672,6 +714,28 @@ class TestFlagsOfNoEffect:
             main(VALID_ARGV[command] + [flag, value])
         assert stop.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+    @pytest.mark.parametrize("argv,flag,value,reason", FLAGS_OF_NO_EFFECT_WITH)
+    def test_with_other_flags_exit_2(self, argv, flag, value, reason, capsys):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.endswith(f"no effect {reason}\n") and err.count("\n") == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["fit", "--input", SEED42_CSV], "--p1", "0.3"),
+        (SIMULATE_DRAWS + ["--prelimit-n", "1"], "--q", "0.2"),
+        (SIMULATE_DRAWS + ["--prelimit-n", "10"], "--pareto-gamma", "2"),
+        (SIMULATE_DRAWS, "--tag", "snedecor-fisher"),
+    ])
+    def test_have_effect_without_them(self, argv, flag, value, capsys):
+        outputs = []
+        for extra in ([], [flag, value]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
 
 
 class TestParserReuse:

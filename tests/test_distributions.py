@@ -456,6 +456,8 @@ class TestNegBinPmf:
             negbin_pmf(-1, nb)
         with pytest.raises(ValueError):
             negbin_pmf(1.5, nb)
+        with pytest.raises(ValueError, match="k must be numeric"):
+            negbin_pmf("a", nb)
 
 
 class TestMixingDensities:
@@ -553,6 +555,10 @@ class TestSnedecorFisher:
     def test_unit_point(self):
         assert snedecor_fisher_density(1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
 
+    @pytest.mark.parametrize("r,expected", [(0.5, math.inf), (1.0, 1.0), (2.0, 0.0)])
+    def test_at_zero_is_the_limit_of_x_to_the_r_minus_1(self, r, expected):
+        assert snedecor_fisher_density(0.0, r) == expected
+
     def test_normalizes(self):
         total = sum(
             quad(lambda x: snedecor_fisher_density(x, 0.876), a, b, limit=400)[0]
@@ -578,6 +584,10 @@ class TestComponentLaws:
         # X = G^(1/gamma): f_X(x) = f_G(x^gamma) * gamma * x^(gamma-1)
         transform = gamma_pdf(xs ** gamma, GammaParams(r, lam)) * gamma * xs ** (gamma - 1.0)
         assert np.allclose(gg_pdf(xs, GGParams(r, gamma, lam)), transform, rtol=1e-10)
+
+    def test_exponential_density_at_zero_is_the_rate(self):
+        assert gamma_pdf(0.0, GammaParams(1.0, 2.5)) == 2.5
+        assert gamma_pdf(np.array([0.0, 1.0]), GammaParams(1.0, 2.5))[0] == 2.5
 
     def test_gamma_pdf_normalizes(self):
         total = quad(lambda x: gamma_pdf(x, GammaParams(0.876, 2.0)), 0, np.inf, limit=300)[0]

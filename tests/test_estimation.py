@@ -617,6 +617,11 @@ class TestFitMle:
     def test_standard_errors_none_without_positive_definite_information(self, information):
         assert _standard_errors(ModelParams(1.0, 1.0, 1.0), np.array(information)) is None
 
+    def test_standard_errors_none_where_an_error_overflows(self):
+        # the information is positive definite, but r sqrt(1e300) is beyond the float range
+        information = np.diag([1e-300, 1.0, 1.0])
+        assert _standard_errors(ModelParams(1e300, 1.0, 1.0), information) is None
+
 
 def symmetric_with_eigenvalues(eigenvalues, seed):
     """Q diag(eigenvalues) Q^T for a random orthogonal Q, and a random score."""
@@ -845,7 +850,8 @@ class TestFitNegBin:
         [
             [3, 3, 3, 3],
             [2],  # fewer than two values
-            [1, 2] * 20,  # shifted variance 0.256 vs mean 0.5
+            [1, 2] * 20,  # shifted variance 0.25 vs mean 0.5
+            [1, 3],  # shifted variance 1 with divisor m, 2 with divisor m - 1, mean 1
             [1.5, 2.0, 3.0],
             [0, 1, 2],
             [-1, 2, 3],
@@ -858,12 +864,50 @@ class TestFitNegBin:
             fit_negbin(durations)
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("order", list(itertools.permutations([13, 18, 21])))
+    @pytest.mark.parametrize("order", [*itertools.permutations([13, 18, 21]),
+                                       *itertools.permutations([4, 7, 10])])
     def test_variance_equal_to_mean_rejected_in_any_order(self, order):
-        # shifted variance and mean are both 49/3; float sums over the spells
-        # in four of these orders put the variance one ulp above the mean
+        # [13, 18, 21]: shifted variance with divisor m - 1 and mean are both
+        # 49/3, and float sums over the spells in four of these orders put that
+        # variance one ulp above the mean; [4, 7, 10]: the variance with divisor
+        # m, which the gate takes, and the mean are both 6
         with pytest.raises(EstimationError, match="no overdispersion"):
             fit_negbin(list(order))
+
+    @pytest.mark.parametrize("durations", [[1, 3], [1, 3, 1, 3]])
+    def test_variance_above_mean_only_with_divisor_m_minus_1_rejected(self, durations):
+        # the profile likelihood rises for ever in r unless the variance with
+        # divisor m exceeds the mean: these fits returned r0 e^7
+        with pytest.raises(EstimationError, match="no overdispersion: variance 1 <= mean 1;"):
+            fit_negbin(durations)
+
+    def test_root_above_the_first_bracket(self):
+        import mpmath  # a test dependency; imported here so that its absence fails only this test
+
+        # three near-Poisson durations: their root lies about twice r0 e^7
+        # above the moment estimate r0 that centres the first bracket
+        durations = 1 + make_rng(482).poisson(1000.0, size=3)
+        shifted = durations - 1.0
+        mean = float(shifted.mean())
+        edge = mean * mean / float(shifted.var(ddof=1) - mean) * math.exp(7.0)
+        fitted = fit_negbin(durations)
+        assert fitted.r > 1.5 * edge
+        assert fitted.p == fitted.r / (fitted.r + mean)
+        with mpmath.workdps(40):
+            k = [mpmath.mpf(int(v)) for v in shifted]
+            mu = mpmath.fsum(k) / len(k)
+
+            def score(r):
+                return mpmath.fsum(mpmath.digamma(r + v) - mpmath.digamma(r) for v in k) - len(k) * mpmath.log1p(mu / r)
+
+            def log_likelihood(r):
+                return mpmath.fsum(mpmath.loggamma(r + v) - mpmath.loggamma(r) + r * mpmath.log(r / (r + mu))
+                                   + v * mpmath.log(mu / (r + mu)) for v in k)
+
+            r = mpmath.mpf(fitted.r)
+            # the score changes sign within 0.1 % of the fit, and the fit beats the bracket end
+            assert score(r * 0.999) > 0 > score(r * 1.001)
+            assert log_likelihood(r) >= log_likelihood(mpmath.mpf(edge))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite(self, bad):

@@ -69,6 +69,10 @@ class TestKsModel:
         result = ks_model(xs, p)
         assert result.ks_distance == pytest.approx(0.5 / m, abs=1e-12)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="sample must be nonempty"):
+            ks_model(np.array([]), ModelParams(0.85, 1.5, 1.2))
+
     def test_single_point_at_median(self):
         p = ModelParams(0.876, 2.0, 0.9)
         result = ks_model(np.array([limit_quantile(0.5, p)]), p)
