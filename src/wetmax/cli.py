@@ -13,7 +13,8 @@ away early, as ``| head`` does, is no error.  All randomness sits behind
 
 ``simulate`` writes its draws in blocks of :data:`SIMULATE_BLOCK`, one ``%``
 operation per block, so the text it holds at once stays fixed whatever
-``--n``; the ``gof-sweep`` plot tables format each table in one ``%``
+``--n``; ``gof-sweep`` formats the x and empirical d.f. columns of its plot
+tables once per threshold, and each method's model column in one ``%``
 operation.  Both give the same bytes as one ``%.17g`` / ``%.12g`` per value.
 """
 
@@ -41,7 +42,7 @@ from .estimation import (
     fit_quantile,
     fit_quantile_tau_scan,
 )
-from .gof import emit_plot_data, ks_model
+from .gof import emit_plot_data, ks_model, plot_columns
 from .pipeline import (
     CensoringSpec,
     CsvFormatError,
@@ -213,6 +214,10 @@ def _fit_setup(args, duration_list):
         raise ValueError("method 'ls' needs a known shape: pass --r VALUE or --r from-durations")
     methods = [m for m in METHODS if args.method in (m, "all") and (m != "ls" or r_value is not None)]
     levels = {p: getattr(args, p) for p in ("p1", "p2", "p3") if getattr(args, p) is not None}
+    quantile_flags = [f"--{p}" for p in levels] + (["--tau-grid"] if args.tau_grid is not None else [])
+    if quantile_flags and "quantile" not in methods and not ("mle" in methods and r_value is None):
+        known = " and a known r" if args.method == "mle" else ""  # the MLE starts from ls
+        raise ValueError(f"{quantile_flags[0]} has no effect with --method {args.method}{known}")
     if args.tau_grid and levels:
         raise ValueError(f"--{min(levels)} has no effect with --tau-grid")
     try:
@@ -296,14 +301,14 @@ def _cmd_gof_sweep(args) -> int:
             lines.append(f"{h}\t0\t" + "\t".join("" for _ in methods))
             continue
         cells = [str(h), str(sample.m)]
-        if plot_dir is not None:
-            grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201)
+        if plot_dir is not None:  # the x and empirical d.f. columns of every method's table
+            columns = plot_columns(sample, np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201))
         for method, report in fit(sample).items():
             failed = isinstance(report, EstimationError)
             cells.append("" if failed else f"{report.ks_distance:.12g}")
             if plot_dir is not None and not failed:
                 path = plot_dir / f"gof_h{h}_{method}.tsv"
-                path.write_text(emit_plot_data(sample, report, grid))
+                path.write_text(emit_plot_data(sample, report, columns))
         lines.append("\t".join(cells))
     _write_text(("\n".join(lines) + "\n",), args.out)
     return 0

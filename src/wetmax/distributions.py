@@ -148,7 +148,7 @@ class NegBinParams:
 
 def _as_float_array(x, strict=False):  # checked to be >= 0, or > 0 when strict
     arr = np.asarray(x, dtype=float)
-    if not (arr > 0.0 if strict else arr >= 0.0).all():
+    if not np.logical_and.reduce(arr > 0.0 if strict else arr >= 0.0, axis=None):
         if np.isnan(arr).any():
             raise ValueError("x must not be NaN")
         raise ValueError(f"x must be {'>' if strict else '>='} 0.0, got {float(np.min(arr))!r}")

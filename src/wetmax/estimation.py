@@ -26,6 +26,11 @@ r is usually fixed before the two-parameter fits.
 
 Scalar arguments (r, the quantile levels, tau) are checked to be finite and
 inside their intervals, and raise ``ValueError`` otherwise.
+
+A fit at station sample sizes is mostly fixed cost per call.  So reductions
+call the ufunc's ``reduce``, the bits of ``ndarray.sum`` without numpy's Python
+wrapper, and the Newton driver keeps u, the step and the score in plain floats,
+mapping u by ``np.log`` and ``np.exp`` only, so that its bits stay numpy's.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class MaximaSample:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("maxima sample must be nonempty")
-        if not np.isfinite(arr).all() or (arr <= 0.0).any():
+        if not np.logical_and.reduce(np.isfinite(arr)) or np.logical_or.reduce(arr <= 0.0):
             raise ValueError("maxima must all be finite and > 0")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "sorted_values", np.sort(arr))
@@ -149,11 +154,13 @@ def _solve_shape_equation(x1, x2, x3, p1, p2, p3) -> float:
     naming kappa and the open range (kappa_0, kappa_inf).
     """
     kappa = math.log(x3 / x2) / math.log(x2 / x1)
+    log_p1, log_p2, log_p3 = math.log(p1), math.log(p2), math.log(p3)
 
-    def equation(log_r):
+    def equation(log_r):  # (l3 - l2) - kappa (l2 - l1), the log odds of _log_odds(p_i, r, math) inline
         r = math.exp(log_r)
-        l1, l2, l3 = (_log_odds(p, r, math) for p in (p1, p2, p3))
-        return (l3 - l2) - kappa * (l2 - l1)
+        t1, t2, t3 = log_p1 / r, log_p2 / r, log_p3 / r
+        l1, l2 = t1 - math.log(-math.expm1(t1)), t2 - math.log(-math.expm1(t2))
+        return (t3 - math.log(-math.expm1(t3)) - l2) - kappa * (l2 - l1)
 
     lo, hi = -50.0, 50.0
     if not equation(lo) < 0.0 < equation(hi):
@@ -265,13 +272,14 @@ def fit_least_squares(sample: MaximaSample, r: float):
     if m < 3:
         raise EstimationError(f"least squares needs m >= 3, got m={m}")
     logx = np.log(sample.sorted_values[: m - 1])
-    if np.all(logx == logx[0]):
+    if np.logical_and.reduce(logx == logx[0]):
         raise EstimationError("least squares failed: all regressor values equal")
     c = _log_odds(np.arange(1, m) / m, r)
-    logx_c = logx - logx.mean()
-    gamma = float(np.dot(c - c.mean(), logx_c) / np.dot(logx_c, logx_c))
+    logx_mean, c_mean = np.add.reduce(logx) / (m - 1), np.add.reduce(c) / (m - 1)  # ndarray.mean's bits
+    logx_c = logx - logx_mean
+    gamma = float(np.dot(c - c_mean, logx_c) / np.dot(logx_c, logx_c))
     with np.errstate(over="ignore"):  # lam = inf fails the check below
-        lam = float(np.exp(c.mean() - gamma * logx.mean()))
+        lam = float(np.exp(c_mean - gamma * logx_mean))
     try:
         ModelParams(r, lam, gamma)
     except ValueError as exc:
@@ -299,19 +307,19 @@ def _score_hessian(logx: np.ndarray, r: float, lam: float, gamma: float, fix_r: 
     """
     m = logx.size
     log_pdf, log_pi, gl = _log_pdf_terms(logx, r, lam, gamma)
-    ll = float(log_pdf.sum())
-    sum_log_pi = log_pi.sum()
+    ll = float(np.add.reduce(log_pdf))
+    sum_log_pi = np.add.reduce(log_pi)
     s = np.expm1(log_pi, out=log_pdf)  # each buffer is reused once its sums are taken
     np.negative(s, out=s)
     pi = np.exp(log_pi, out=log_pi)
-    sum_s, gl_s, sum_pi = s.sum(), np.dot(gl, s), pi.sum()
+    sum_s, gl_s, sum_pi = np.add.reduce(s), np.dot(gl, s), np.add.reduce(pi)
     gl_a = r * gl_s - np.dot(gl, pi)
     q = np.multiply(pi, s, out=s)
-    sum_q = q.sum()
+    sum_q = np.add.reduce(q)
     gl_q = np.multiply(gl, q, out=q)
     score = np.array([m + r * sum_log_pi, r * sum_s - sum_pi, m + gl_a])
     aa, ab, ac = r * sum_log_pi, r * sum_s, r * gl_s
-    bb, bc = -(r + 1.0) * sum_q, -(r + 1.0) * gl_q.sum()
+    bb, bc = -(r + 1.0) * sum_q, -(r + 1.0) * np.add.reduce(gl_q)
     cc = gl_a - (r + 1.0) * np.dot(gl, gl_q)
     hessian = np.array([[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]])
     if fix_r:
@@ -382,8 +390,8 @@ def _standard_errors(params: ModelParams, information: np.ndarray) -> Optional[d
     return {"r": None, **se}
 
 
-def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Solve (I + mu Id) step = score, with mu = 0 when I is positive definite.
+def _newton_step(information: np.ndarray, score) -> list:
+    """Solve (I + mu Id) step = score, with mu = 0 when I is positive definite, as a list of floats.
 
     mu is 0 when I has a Cholesky factor; otherwise it starts at
     1e-8 max|I_ij| and doubles until I + mu Id has one, a
@@ -398,16 +406,16 @@ def _newton_step(information: np.ndarray, score: np.ndarray) -> np.ndarray:
         mu = 2.0 * mu or 1e-8 * float(np.max(np.abs(information))) or 1e-8  # 1e-8 where I = 0
         low = _cholesky(a, mu)
     if low is None:
-        return np.full(score.size, math.nan)
+        return [math.nan] * len(score)
     l00, l10, l11, l20, l21, l22 = low
-    b0, b1, b2 = [0.0, *score.tolist()] if score.size == 2 else score.tolist()
+    b0, b1, b2 = [0.0, *score] if len(score) == 2 else score
     y0 = b0 / l00
     y1 = (b1 - l10 * y0) / l11
     y2 = (b2 - l20 * y0 - l21 * y1) / l22
     x2 = y2 / l22
     x1 = (y1 - l21 * x2) / l11
     x0 = (y0 - l10 * x1 - l20 * x2) / l00
-    return np.array([x0, x1, x2][3 - score.size:])
+    return [x0, x1, x2][3 - len(score):]
 
 
 def _newton_ascent(kernel, theta: list, gtol: float):
@@ -429,7 +437,8 @@ def _newton_ascent(kernel, theta: list, gtol: float):
         if not all(0.0 < v < math.inf for v in theta):  # exp(u) overflowed or underflowed
             return None
         ll, score, hessian = kernel(theta)
-        if math.isfinite(ll) and np.isfinite(score).all() and np.isfinite(hessian).all():
+        if (math.isfinite(ll) and np.logical_and.reduce(np.isfinite(score))
+                and np.logical_and.reduce(np.isfinite(hessian), axis=None)):
             return ll, score, hessian
         return None
 
@@ -438,19 +447,19 @@ def _newton_ascent(kernel, theta: list, gtol: float):
         if point is None:
             return None
         ll, score, hessian = point
-        u, steps = np.log(theta), 0
-        while steps < 2000 and math.hypot(*score) >= gtol:
-            step = _newton_step(-hessian, score)
-            while np.isfinite(step).all() and (u + step != u).any():
-                trial_theta = np.exp(u + step).tolist()
+        u, g, steps = np.log(theta).tolist(), score.tolist(), 0
+        while steps < 2000 and math.hypot(*g) >= gtol:
+            step = _newton_step(-hessian, g)
+            while all(map(math.isfinite, step)) and (trial_u := [a + b for a, b in zip(u, step)]) != u:
+                trial_theta = np.exp(trial_u).tolist()
                 trial = evaluate(trial_theta)
                 if trial is not None and trial[0] > ll:
                     break
-                step = 0.5 * step
+                step = [0.5 * v for v in step]
             else:
                 break  # no step that moves u raises the likelihood
-            u, theta, steps = u + step, trial_theta, steps + 1
-            ll, score, hessian = trial
+            (ll, score, hessian), u, theta, steps = trial, trial_u, trial_theta, steps + 1
+            g = score.tolist()
     return theta, (ll, score, hessian), steps
 
 
@@ -480,7 +489,7 @@ def fit_mle(sample: MaximaSample, init: ModelParams, fix_r: bool = False) -> Fit
         m=sample.m,
         log_likelihood=ll,
         iterations=iterations,
-        converged=bool(np.max(np.abs(score)) <= gtol),
+        converged=max(map(abs, score.tolist())) <= gtol,
         standard_errors=_standard_errors(params, -hessian),
     )
 
@@ -544,7 +553,7 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
             "(data sit at the geometric/Poisson boundary)"
         )
     r0 = total * total * (m - 1) / (m * (spread - (m - 1) * total))
-    shifted = values.astype(float) - 1.0
+    shifted = np.concatenate(([0.0], values.astype(float) - 1.0))  # the leading 0 gives digamma(r)
     counts = counts.astype(float)
 
     lo, hi = math.log(r0) - 7.0, math.log(r0) + 7.0
@@ -554,9 +563,10 @@ def fit_negbin(durations: Sequence[int]) -> NegBinParams:
         # d/dr of the profile log likelihood; its terms in log(1 - p) cancel
         r = math.exp(log_r)
         if log_r <= top:
-            rise = float(counts @ digamma(r + shifted)) - m * float(digamma(r))
+            psi = digamma(r + shifted)
+            rise = float(counts @ psi[1:]) - m * float(psi[0])
         else:  # N_i for i < the longest k, built only where a fit needs it
-            longer = m - np.cumsum(np.bincount(shifted.astype(np.int64), weights=counts))[:-1]
+            longer = m - np.cumsum(np.bincount(shifted[1:].astype(np.int64), weights=counts))[:-1]
             rise = float(longer @ (1.0 / (r + np.arange(longer.size))))
         return rise - m * math.log1p(mean / r)
 

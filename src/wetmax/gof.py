@@ -8,8 +8,10 @@ blurred away.
 :func:`emit_plot_data` writes the empirical-vs-model table of a fit.  It
 takes the distance from the fit's report where the report has one, and
 measures it by :func:`ks_model` only where the report has none (as
-:func:`~wetmax.estimation.fit_mle` leaves it), and formats all rows in one
-``%`` operation.
+:func:`~wetmax.estimation.fit_mle` leaves it).  The x and empirical d.f.
+columns, which every fit of one sample shares over one grid, are formatted
+by :func:`plot_columns` in one ``%`` operation, and the model column of
+each table in one more.
 
 :func:`tail_index` is a Hill-type diagnostic for the regular-variation
 (power tail) assumption the limit model rests on.
@@ -93,18 +95,40 @@ def tail_index(sample, k: int) -> float:
     return k / total
 
 
+@dataclass(frozen=True)
+class PlotColumns:
+    """The grid ``xs`` of a sample's plot tables, and their ``rows`` with x and the empirical d.f. formatted.
+
+    ``rows`` holds a ``%.12g`` slot for the model d.f. in each row, so that
+    one ``%`` operation over a fit's model column completes its table.
+    """
+
+    xs: np.ndarray
+    rows: str
+
+
+def plot_columns(sample, grid) -> PlotColumns:
+    """The columns that every plot table of ``sample`` over the x values ``grid`` shares, formatted once."""
+    xs = np.asarray(grid, dtype=float).ravel()
+    if xs.size == 0:
+        raise ValueError("grid must be nonempty")
+    empirical = np.searchsorted(sample.sorted_values, xs, side="right") / sample.m
+    shared = np.column_stack((xs, empirical)).ravel().tolist()
+    return PlotColumns(xs, ("%.12g\t%.12g\t%%.12g\n" * xs.size) % tuple(shared))
+
+
 def emit_plot_data(sample, report: FitReport, grid) -> str:
     """Empirical vs model d.f. table of a fit over a grid of x values, as TSV.
 
     ``sample`` is the :class:`~wetmax.estimation.MaximaSample` that was
-    fitted and ``report`` its fit.  The header line carries the report's
-    uniform distance (measured here by :func:`ks_model` where the report's
-    is None), m and parameters; each row holds x, the empirical d.f. at x
-    and the model d.f. at x.
+    fitted and ``report`` its fit.  ``grid`` is the x values, or the
+    :class:`PlotColumns` that :func:`plot_columns` built from this sample
+    and them, which the tables of several fits can share.  The header line
+    carries the report's uniform distance (measured here by
+    :func:`ks_model` where the report's is None), m and parameters; each
+    row holds x, the empirical d.f. at x and the model d.f. at x.
     """
-    xs = np.asarray(grid, dtype=float).ravel()
-    if xs.size == 0:
-        raise ValueError("grid must be nonempty")
+    columns = grid if isinstance(grid, PlotColumns) else plot_columns(sample, grid)
     params = report.params
     ks = report.ks_distance
     if ks is None:
@@ -113,7 +137,4 @@ def emit_plot_data(sample, report: FitReport, grid) -> str:
         f"# ks={ks:.12g} m={report.m} "
         f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}\n"
     )
-    empirical = np.searchsorted(sample.sorted_values, xs, side="right") / sample.m
-    model = np.asarray(limit_cdf(xs, params))
-    rows = np.column_stack((xs, empirical, model)).ravel().tolist()
-    return header + ("%.12g\t%.12g\t%.12g\n" * xs.size) % tuple(rows)
+    return header + columns.rows % tuple(np.asarray(limit_cdf(columns.xs, params)).tolist())

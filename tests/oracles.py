@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import erfc, gammaln
 
 from wetmax import (
@@ -29,6 +29,7 @@ from wetmax import (
     sample_gamma,
     sample_stable_onesided,
 )
+from wetmax.distributions import _log_odds
 
 
 def ks_critical_one_sample(n: int, level: float = 0.01) -> float:
@@ -293,6 +294,25 @@ def shape_root_scan(x1, x2, x3, p1, p2, p3) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def shape_root_log_odds(x1, x2, x3, p1, p2, p3) -> float:
+    """Root r of the quantile fit's shape equation, each log odds one ``_log_odds`` call.
+
+    ``brentq`` in log r on [-50, 50], with xtol 1e-14, over
+    (l3 - l2) - kappa (l2 - l1), where l_i = ``_log_odds(p_i, r, math)``.
+    The reference for ``estimation._solve_shape_equation``, which takes each
+    log p_i once and writes the log odds inline; the two agree bit for bit.
+    Raises ValueError where the equation has the same sign at both ends.
+    """
+    kappa = math.log(x3 / x2) / math.log(x2 / x1)
+
+    def equation(log_r):
+        r = math.exp(log_r)
+        l1, l2, l3 = (_log_odds(p, r, math) for p in (p1, p2, p3))
+        return (l3 - l2) - kappa * (l2 - l1)
+
+    return math.exp(brentq(equation, -50.0, 50.0, xtol=1e-14))
 
 
 def log_pdf_textbook(x, params: ModelParams):

@@ -704,6 +704,16 @@ FLAGS_OF_NO_EFFECT_WITH = [
     (SIMULATE_DRAWS, "--q", "0.9", "without --prelimit-n"),
     (SIMULATE_DRAWS, "--pareto-gamma", "1.2", "without --prelimit-n"),
     (SIMULATE_DRAWS + ["--prelimit-n", "10"], "--tag", "direct", "with --prelimit-n"),
+    # no quantile fit runs with ls, nor with an MLE that starts from ls (r known)
+    (["fit", "--input", SEED42_CSV, "--method", "ls", "--r", "0.85"], "--p1", "0.3", "with --method ls"),
+    (["fit", "--input", SEED42_CSV, "--method", "ls", "--r", "from-durations"], "--tau-grid", "0.1",
+     "with --method ls"),
+    (["fit", "--input", SEED42_CSV, "--method", "mle", "--r", "0.85"], "--tau-grid", "0.1",
+     "with --method mle and a known r"),
+    (["gof-sweep", "--input", SEED42_CSV, "--method", "mle", "--r", "from-durations", "--h-range", "1:1"],
+     "--p3", "0.8", "with --method mle and a known r"),
+    (["gof-sweep", "--input", SEED42_CSV, "--method", "ls", "--r", "0.85", "--h-range", "1:1"], "--p2", "0.6",
+     "with --method ls"),
 ]
 
 
@@ -726,6 +736,13 @@ class TestFlagsOfNoEffect:
 
     @pytest.mark.parametrize("argv,flag,value", [
         (["fit", "--input", SEED42_CSV], "--p1", "0.3"),
+        (["fit", "--input", SEED42_CSV, "--r", "0.85"], "--tau-grid", "0.1"),
+        (["fit", "--input", SEED42_CSV, "--method", "all", "--r", "0.85"], "--p1", "0.3"),
+        (["fit", "--input", SEED42_CSV, "--method", "all", "--r", "from-durations"], "--tau-grid", "0.1"),
+        # an MLE with r free starts from the quantile fit
+        (["fit", "--input", SEED42_CSV, "--method", "mle"], "--p1", "0.3"),
+        (["fit", "--input", SEED42_CSV, "--method", "mle"], "--tau-grid", "0.1"),
+        (["gof-sweep", "--input", SEED42_CSV, "--method", "mle", "--h-range", "1:2"], "--p3", "0.8"),
         (SIMULATE_DRAWS + ["--prelimit-n", "1"], "--q", "0.2"),
         (SIMULATE_DRAWS + ["--prelimit-n", "10"], "--pareto-gamma", "2"),
         (SIMULATE_DRAWS, "--tag", "snedecor-fisher"),

@@ -1,6 +1,9 @@
+import cProfile
 import itertools
 import math
+import pstats
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from oracles import (
     fit_negbin_per_spell,
     log_likelihood,
     negbin_log_likelihood,
+    shape_root_log_odds,
     shape_root_scan,
 )
 from wetmax import (
@@ -199,6 +203,29 @@ class TestShapeEquation:
         assert np.all(np.diff(kappa) >= -tol * kappa[1:])
         assert np.all(kappa >= kappa_0 * (1.0 - tol))
         assert np.all(kappa <= kappa_inf * (1.0 + tol))
+
+    @pytest.mark.parametrize("levels", [(0.25, 0.5, 0.75), (0.05, 0.5, 0.95)])
+    @pytest.mark.parametrize("truth", [
+        ModelParams(0.4, 1.3, 0.6), ModelParams(0.85, 1.5, 1.2), ModelParams(2.5, 0.7, 1.4),
+        ModelParams(6.0, 2.0, 0.8),
+    ], ids=repr)
+    def test_free_fit_is_brentq_over_the_log_odds_oracle(self, truth, levels):
+        # the inlined equation gives the r of three _log_odds calls, and so the same fit, bit for bit
+        triple, roots = QuantileTriple(*levels), 0
+        for seed in range(12):
+            sample = MaximaSample(
+                sample_limit(truth, Representation.DIRECT, make_rng(1700 + seed), size=(200, 1000)[seed % 2])
+            )
+            xs = [float(sample.sorted_values[int(math.floor(sample.m * p + 1e-9)) - 1]) for p in levels]
+            try:
+                r = shape_root_log_odds(*xs, *levels)
+            except ValueError:  # no root over (0, inf): the fit must find none either
+                with pytest.raises(EstimationError, match="no r > 0 matches"):
+                    fit_quantile(sample, triple)
+                continue
+            roots += 1
+            assert fit_quantile(sample, triple) == fit_quantile(sample, triple, r=r)
+        assert roots >= 6
 
     def test_failure_names_the_reason(self):
         # a median this close to the upper quartile is beyond every r > 0
@@ -951,3 +978,28 @@ class TestFitNegBin:
             assert str(got.value) == str(exc)
             return
         assert fit_negbin(shuffled) == expected
+
+
+class TestFixedCost:
+    def test_replicate_fits_enter_no_numpy_method_wrapper(self):
+        # ndarray.sum, .mean, .all and .any run their reduction through the
+        # Python wrappers of numpy/_core/_methods.py; the fit path calls the
+        # ufuncs' reduce itself, the same reduction at a fraction of the cost
+        truth = ModelParams(0.85, 1.5, 1.2)
+        values = sample_limit(truth, Representation.DIRECT, make_rng(2901), size=1000)
+        durations = sample_negbin(NegBinParams(truth.r, 0.3), make_rng(2902), size=1000) + 1
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            sample = MaximaSample(values)
+            fit_negbin(durations)
+            quantile = fit_quantile(sample, QuantileTriple(0.05, 0.5, 0.95))
+            ls = ModelParams(truth.r, *fit_least_squares(sample, truth.r))
+            fitted = [quantile, ls, fit_mle(sample, ls, fix_r=True).params, fit_mle(sample, quantile).params]
+            for params in fitted:
+                ks_model(sample, params)
+        finally:
+            profile.disable()
+        wrapped = [f"{name} ({calls} calls)" for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                   if Path(path).parts[-3:] == ("numpy", "_core", "_methods.py")]
+        assert wrapped == []

@@ -16,6 +16,7 @@ from wetmax import (
     limit_cdf,
     limit_quantile,
     make_rng,
+    plot_columns,
     sample_limit,
     tail_index,
 )
@@ -232,10 +233,25 @@ class TestEmitPlotData:
         assert float(model) == 0.0
         assert float(empirical) == 0.0
 
+    def test_shared_columns_give_each_fit_its_own_table(self):
+        # gof-sweep formats the x and empirical d.f. columns once per threshold, for every method's table
+        truth = ModelParams(0.85, 1.5, 1.2)
+        sample = MaximaSample(sample_limit(truth, Representation.DIRECT, make_rng(307), size=300))
+        grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201)
+        columns = plot_columns(sample, grid)
+        for p in (truth, ModelParams(2.5, 0.7, 1.4), ModelParams(0.4, 1.3, 0.6)):
+            report = FitReport(p, "ls", ks_model(sample, p).ks_distance, sample.m)
+            text = emit_plot_data(sample, report, columns)
+            assert text == emit_plot_data(sample, report, grid) == plot_data_per_value(sample, report, grid)
+        bare = fit_mle(sample, truth)  # a report without a distance is measured with shared columns too
+        assert emit_plot_data(sample, bare, columns) == emit_plot_data(sample, bare, grid)
+
     def test_empty_grid_rejected(self):
         sample = MaximaSample(np.array([1.0]))
         with pytest.raises(ValueError):
             emit_plot_data(sample, _report(sample, ModelParams(1, 1, 1)), [])
+        with pytest.raises(ValueError):
+            plot_columns(sample, [])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -253,4 +269,6 @@ class TestEmitPlotData:
         # x = 0, points inside and beyond the sample, and one past the maximum
         grid = np.array([0.0, *(2.0 * top * u for u in inner), 1.05 * top])
         report = FitReport(ModelParams(r, lam, gamma), "ls", ks, sample.m)
-        assert emit_plot_data(sample, report, grid) == plot_data_per_value(sample, report, grid)
+        expected = plot_data_per_value(sample, report, grid)
+        assert emit_plot_data(sample, report, grid) == expected
+        assert emit_plot_data(sample, report, plot_columns(sample, grid)) == expected
