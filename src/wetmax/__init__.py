@@ -38,15 +38,13 @@ from .estimation import (
     fit_quantile,
     fit_quantile_tau_scan,
 )
-from .gof import GofResult, PlotColumns, emit_plot_data, ks_model, plot_columns, tail_index
+from .gof import GofResult, emit_plot_data, ks_model, tail_index
 from .pipeline import (
-    CensoringSpec,
     CsvFormatError,
     EmptySampleError,
     PrecipSeries,
     WetPeriods,
     build_maxima,
-    durations,
     ingest_csv,
     segment,
 )

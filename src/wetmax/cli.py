@@ -13,9 +13,11 @@ away early, as ``| head`` does, is no error.  All randomness sits behind
 
 ``simulate`` writes its draws in blocks of :data:`SIMULATE_BLOCK`, one ``%``
 operation per block, so the text it holds at once stays fixed whatever
-``--n``; ``gof-sweep`` formats the x and empirical d.f. columns of its plot
-tables once per threshold, and each method's model column in one ``%``
-operation.  Both give the same bytes as one ``%.17g`` / ``%.12g`` per value.
+``--n``; ``gof-sweep`` hands each threshold's fitted reports to one
+:func:`~wetmax.gof.emit_plot_data` call, which formats the x and empirical
+d.f. columns that its tables share once, and each method's model column in
+one ``%`` operation.  Both give the same bytes as one ``%.17g`` / ``%.12g``
+per value.
 """
 
 from __future__ import annotations
@@ -42,16 +44,8 @@ from .estimation import (
     fit_quantile,
     fit_quantile_tau_scan,
 )
-from .gof import emit_plot_data, ks_model, plot_columns
-from .pipeline import (
-    CensoringSpec,
-    CsvFormatError,
-    EmptySampleError,
-    build_maxima,
-    durations,
-    ingest_csv,
-    segment,
-)
+from .gof import emit_plot_data, ks_model
+from .pipeline import CsvFormatError, EmptySampleError, build_maxima, ingest_csv, segment
 from .samplers import Representation, make_rng, sample_limit, simulate_prelimit_max
 
 METHODS = ("quantile", "ls", "mle")
@@ -176,9 +170,7 @@ def _segment_input(args):
 
 
 def _cmd_segment(args) -> int:
-    wp = _segment_input(args)
-    doc = wp.to_json_dict()
-    doc["warnings"] = wp.warnings
+    doc = _segment_input(args).to_json_dict()
     _write_text((json.dumps(doc, sort_keys=True) + "\n",), args.out)
     return 0
 
@@ -188,8 +180,7 @@ def _load_sample(args):
     if args.input_kind == "maxima":
         return MaximaSample(ingest_csv(args.input, missing_marker=args.missing_marker).values), None
     wp = _segment_input(args)
-    sample = build_maxima(wp, CensoringSpec(args.min_wet_days))
-    return sample, durations(wp)
+    return build_maxima(wp, args.min_wet_days), wp.lengths
 
 
 def _resolve_r(args, duration_list):
@@ -280,7 +271,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gof_sweep(args) -> int:
     wp = _segment_input(args)
-    _r_value, _source, methods, fit = _fit_setup(args, durations(wp))
+    _r_value, _source, methods, fit = _fit_setup(args, wp.lengths)
 
     try:
         h_lo, h_hi = (int(tok) for tok in args.h_range.split(":"))
@@ -296,20 +287,18 @@ def _cmd_gof_sweep(args) -> int:
     lines = ["h\tm\t" + "\t".join(f"ks_{m}" for m in methods)]
     for h in range(h_lo, h_hi + 1):
         try:
-            sample = build_maxima(wp, CensoringSpec(h))
+            sample = build_maxima(wp, h)
         except EmptySampleError:
             lines.append(f"{h}\t0\t" + "\t".join("" for _ in methods))
             continue
-        cells = [str(h), str(sample.m)]
-        if plot_dir is not None:  # the x and empirical d.f. columns of every method's table
-            columns = plot_columns(sample, np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201))
-        for method, report in fit(sample).items():
-            failed = isinstance(report, EstimationError)
-            cells.append("" if failed else f"{report.ks_distance:.12g}")
-            if plot_dir is not None and not failed:
-                path = plot_dir / f"gof_h{h}_{method}.tsv"
-                path.write_text(emit_plot_data(sample, report, columns))
-        lines.append("\t".join(cells))
+        reports = fit(sample)
+        fitted = {method: report for method, report in reports.items() if not isinstance(report, EstimationError)}
+        cells = [f"{fitted[method].ks_distance:.12g}" if method in fitted else "" for method in reports]
+        lines.append("\t".join([str(h), str(sample.m)] + cells))
+        if plot_dir is not None and fitted:
+            grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201)
+            for method, table in zip(fitted, emit_plot_data(sample, fitted.values(), grid)):
+                (plot_dir / f"gof_h{h}_{method}.tsv").write_text(table)
     _write_text(("\n".join(lines) + "\n",), args.out)
     return 0
 

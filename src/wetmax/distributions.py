@@ -242,16 +242,14 @@ def limit_pdf(x, params: ModelParams):
         return np.exp(limit_log_pdf(x, params))
 
 
-def _log_odds(p, r, xp=np):
+def _log_odds(p, r):
     """Log odds ell(p, r) = log(p^(1/r) / (1 - p^(1/r))) of levels p in (0, 1).
 
     F(x) = p exactly when ell(p, r) = log lam + gamma log x: on this scale
-    the law is a line in log x.  ``xp`` supplies ``log`` and ``expm1``:
-    numpy for arrays, or ``math`` for one float, where numpy's per-call
-    cost would dominate.
+    the law is a line in log x.
     """
-    log_t = xp.log(p) / r
-    return log_t - xp.log(-xp.expm1(log_t))
+    log_t = np.log(p) / r
+    return log_t - np.log(-np.expm1(log_t))
 
 
 def limit_quantile(eps, params: ModelParams):

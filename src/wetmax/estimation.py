@@ -156,7 +156,7 @@ def _solve_shape_equation(x1, x2, x3, p1, p2, p3) -> float:
     kappa = math.log(x3 / x2) / math.log(x2 / x1)
     log_p1, log_p2, log_p3 = math.log(p1), math.log(p2), math.log(p3)
 
-    def equation(log_r):  # (l3 - l2) - kappa (l2 - l1), the log odds of _log_odds(p_i, r, math) inline
+    def equation(log_r):  # (l3 - l2) - kappa (l2 - l1), the log odds of _log_odds(p_i, r) inline, in math
         r = math.exp(log_r)
         t1, t2, t3 = log_p1 / r, log_p2 / r, log_p3 / r
         l1, l2 = t1 - math.log(-math.expm1(t1)), t2 - math.log(-math.expm1(t2))

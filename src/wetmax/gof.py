@@ -5,13 +5,12 @@ between the empirical d.f. and the fitted model d.f.  It is computed exactly
 from order statistics, never on a grid, so small discrepancies are not
 blurred away.
 
-:func:`emit_plot_data` writes the empirical-vs-model table of a fit.  It
-takes the distance from the fit's report where the report has one, and
-measures it by :func:`ks_model` only where the report has none (as
-:func:`~wetmax.estimation.fit_mle` leaves it).  The x and empirical d.f.
-columns, which every fit of one sample shares over one grid, are formatted
-by :func:`plot_columns` in one ``%`` operation, and the model column of
-each table in one more.
+:func:`emit_plot_data` writes the empirical-vs-model tables of one
+sample's fits, one per report.  It takes the distance from each report
+where the report has one, and measures it by :func:`ks_model` only where
+the report has none (as :func:`~wetmax.estimation.fit_mle` leaves it).
+The x and empirical d.f. columns, which the fits share, are formatted once
+in one ``%`` operation, and the model column of each table in one more.
 
 :func:`tail_index` is a Hill-type diagnostic for the regular-variation
 (power tail) assumption the limit model rests on.
@@ -20,7 +19,7 @@ each table in one more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -95,46 +94,30 @@ def tail_index(sample, k: int) -> float:
     return k / total
 
 
-@dataclass(frozen=True)
-class PlotColumns:
-    """The grid ``xs`` of a sample's plot tables, and their ``rows`` with x and the empirical d.f. formatted.
+def emit_plot_data(sample, reports: Iterable[FitReport], grid) -> list[str]:
+    """Empirical vs model d.f. tables of fits over a grid of x values, as TSV, one per report.
 
-    ``rows`` holds a ``%.12g`` slot for the model d.f. in each row, so that
-    one ``%`` operation over a fit's model column completes its table.
+    ``sample`` is the :class:`~wetmax.estimation.MaximaSample` that was
+    fitted and ``reports`` its fits, in the order of the returned tables.
+    Each header line carries the report's uniform distance (measured here by
+    :func:`ks_model` where the report's is None), m and parameters; each
+    row holds x, the empirical d.f. at x and the model d.f. at x.
     """
-
-    xs: np.ndarray
-    rows: str
-
-
-def plot_columns(sample, grid) -> PlotColumns:
-    """The columns that every plot table of ``sample`` over the x values ``grid`` shares, formatted once."""
     xs = np.asarray(grid, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("grid must be nonempty")
     empirical = np.searchsorted(sample.sorted_values, xs, side="right") / sample.m
     shared = np.column_stack((xs, empirical)).ravel().tolist()
-    return PlotColumns(xs, ("%.12g\t%.12g\t%%.12g\n" * xs.size) % tuple(shared))
-
-
-def emit_plot_data(sample, report: FitReport, grid) -> str:
-    """Empirical vs model d.f. table of a fit over a grid of x values, as TSV.
-
-    ``sample`` is the :class:`~wetmax.estimation.MaximaSample` that was
-    fitted and ``report`` its fit.  ``grid`` is the x values, or the
-    :class:`PlotColumns` that :func:`plot_columns` built from this sample
-    and them, which the tables of several fits can share.  The header line
-    carries the report's uniform distance (measured here by
-    :func:`ks_model` where the report's is None), m and parameters; each
-    row holds x, the empirical d.f. at x and the model d.f. at x.
-    """
-    columns = grid if isinstance(grid, PlotColumns) else plot_columns(sample, grid)
-    params = report.params
-    ks = report.ks_distance
-    if ks is None:
-        ks = ks_model(sample, params).ks_distance
-    header = (
-        f"# ks={ks:.12g} m={report.m} "
-        f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}\n"
-    )
-    return header + columns.rows % tuple(np.asarray(limit_cdf(columns.xs, params)).tolist())
+    rows = ("%.12g\t%.12g\t%%.12g\n" * xs.size) % tuple(shared)  # a %.12g slot left for the model d.f.
+    tables = []
+    for report in reports:
+        params = report.params
+        ks = report.ks_distance
+        if ks is None:
+            ks = ks_model(sample, params).ks_distance
+        header = (
+            f"# ks={ks:.12g} m={report.m} "
+            f"r={params.r:.12g} lambda={params.lam:.12g} gamma={params.gamma:.12g}\n"
+        )
+        tables.append(header + rows % tuple(np.asarray(limit_cdf(xs, params)).tolist()))
+    return tables

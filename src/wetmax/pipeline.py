@@ -4,13 +4,16 @@ A wet period is a maximal run of consecutive days whose precipitation
 exceeds the wet threshold (default 0: any positive reading is wet).  Runs
 are bounded by dry days; a day marked missing also terminates a run, and so
 does a calendar gap when the series carries dates (two rows more than one
-day apart).  The per-period maxima, censored by a minimum period length h,
-form the sample the estimators in :mod:`wetmax.estimation` consume, and the
-period lengths feed the negative binomial duration fit.
+day apart).  :func:`build_maxima` takes the maxima of the periods at least
+h days long (the censoring threshold, a whole number >= 1) as the sample
+the estimators in :mod:`wetmax.estimation` consume, and the period lengths,
+:attr:`WetPeriods.lengths`, feed the negative binomial duration fit.
 
 The periods are stored as runs over the series: start index, length and
 maximum of each run, found with array operations on the wet mask, so
 censoring at h is a mask over the run lengths.
+:meth:`WetPeriods.to_json_dict` is the whole document ``wetmax segment``
+writes.
 
 :func:`ingest_csv` is the one reader from CSV text to a series.  It splits
 rows as ``csv.reader`` does, with ``csv.reader`` itself only for text with
@@ -149,21 +152,13 @@ class WetPeriods:
         return int(self.starts.size)
 
     def to_json_dict(self) -> dict:
+        """The document ``wetmax segment`` writes: each spell's values, the lengths and the warnings."""
         values, lengths = self.values.tolist(), self.lengths
         return {
             "periods": [values[s:s + n] for s, n in zip(self.starts.tolist(), lengths)],
             "lengths": lengths,
+            "warnings": self.warnings,
         }
-
-
-@dataclass(frozen=True)
-class CensoringSpec:
-    """Minimum wet-period length (days) for a period's maximum to be kept."""
-
-    h: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", _checked_count("h", self.h))
 
 
 def segment(series: PrecipSeries, wet_threshold: float = 0.0) -> WetPeriods:
@@ -203,19 +198,14 @@ def segment(series: PrecipSeries, wet_threshold: float = 0.0) -> WetPeriods:
     return WetPeriods(values, starts, ends - starts, maxima, warnings)
 
 
-def durations(wp: WetPeriods) -> List[int]:
-    """Lengths of the wet periods, in days, in series order."""
-    return wp.lengths
-
-
-def build_maxima(wp: WetPeriods, censoring: CensoringSpec | int = CensoringSpec(1)) -> MaximaSample:
+def build_maxima(wp: WetPeriods, h: int = 1) -> MaximaSample:
     """Per-period maxima of every wet period at least h days long, in order."""
-    spec = censoring if isinstance(censoring, CensoringSpec) else CensoringSpec(censoring)
-    kept = wp.maxima[wp.run_lengths >= spec.h]
+    h = _checked_count("h", h)
+    kept = wp.maxima[wp.run_lengths >= h]
     if not kept.size:
         longest = int(wp.run_lengths.max(initial=0))
         raise EmptySampleError(
-            f"no wet period of length >= {spec.h} days "
+            f"no wet period of length >= {h} days "
             f"(longest available: {longest} days)"
         )
     return MaximaSample(kept)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from wetmax import (
-    CensoringSpec,
     EmptySampleError,
     MaximaSample,
     ModelParams,
@@ -23,7 +22,6 @@ from wetmax import (
     QuantileTriple,
     Representation,
     build_maxima,
-    durations,
     fit_least_squares,
     fit_mle,
     fit_quantile,
@@ -313,18 +311,18 @@ def test_criterion_09_pipeline_fixtures():
     if segment(PrecipSeries(np.zeros(4) + 0.0)).m != 0:
         problems.append("all-dry series should give zero periods")
     wp2 = segment(PrecipSeries(np.array([5.0, 0.0, 0.0, 7.0, 8.0, 9.0])), 0.0)
-    if [list(p) for p in wp2.periods] != [[5.0], [7.0, 8.0, 9.0]] or durations(wp2) != [1, 3]:
+    if [list(p) for p in wp2.periods] != [[5.0], [7.0, 8.0, 9.0]] or wp2.lengths != [1, 3]:
         problems.append("leading/trailing run fixture mismatch")
-    if build_maxima(wp, CensoringSpec(1)).values.tolist() != [2.0, 3.0]:
+    if build_maxima(wp, 1).values.tolist() != [2.0, 3.0]:
         problems.append("maxima at h=1 mismatch")
-    if build_maxima(wp, CensoringSpec(2)).values.tolist() != [2.0]:
+    if build_maxima(wp, 2).values.tolist() != [2.0]:
         problems.append("maxima at h=2 mismatch")
     try:
-        build_maxima(wp, CensoringSpec(3))
+        build_maxima(wp, 3)
         problems.append("h=3 should raise the empty-sample error")
     except EmptySampleError:
         pass
-    if durations(wp) != [2, 1]:
+    if wp.lengths != [2, 1]:
         problems.append("durations fixture mismatch")
 
     rng = np.random.default_rng(123)

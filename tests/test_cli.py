@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wetmax import (
-    CensoringSpec,
     ModelParams,
     Representation,
     build_maxima,
@@ -395,6 +394,28 @@ class TestGofSweepCommand:
             assert text.startswith(f"# ks={ks_cell} m={m_cell} r=0.85 ")
             assert len(text.strip().split("\n")) == 202
 
+    def test_one_plot_call_per_threshold_with_a_fit(self, monkeypatch, tmp_path):
+        # each threshold's fitted reports go to one call, in method order; a row of blank cells makes none
+        calls = []
+
+        def counting(sample, reports, grid):
+            calls.append([report.method for report in reports])
+            return emit(sample, reports, grid)
+
+        emit = cli.emit_plot_data
+        monkeypatch.setattr(cli, "emit_plot_data", counting)
+        plots = tmp_path / "fixture"
+        assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all", "--r", "0.85", "--h-range", "1:3",
+                     "--plot-dir", str(plots), "--out", str(tmp_path / "sweep.tsv")]) == 0
+        assert calls == [["quantile", "ls", "mle"]] * 3
+        assert len(list(plots.iterdir())) == 9
+        calls.clear()
+        plots = tmp_path / "blank"
+        assert main(["gof-sweep", "--input", write_scaled_draws(tmp_path), "--method", "all", "--r", "0.85",
+                     "--h-range", "1:2", "--plot-dir", str(plots), "--out", str(tmp_path / "blank.tsv")]) == 0
+        assert calls == []
+        assert list(plots.iterdir()) == []
+
     def test_fits_out_of_float_range_give_blank_cells(self, tmp_path, capsys):
         argv = ["gof-sweep", "--input", write_scaled_draws(tmp_path), "--method", "all", "--r", "0.85",
                 "--h-range", "1:2"]
@@ -470,7 +491,7 @@ class TestOneDistancePerReport:
     def test_mle_distance_is_that_of_its_params(self, r, tmp_path, capsys):
         assert main(["fit", "--input", SEED42_CSV, "--method", "all", *r]) == 0
         mle = json.loads(capsys.readouterr().out)["reports"]["mle"]
-        sample = build_maxima(segment(ingest_csv(SEED42_CSV)), CensoringSpec(1))
+        sample = build_maxima(segment(ingest_csv(SEED42_CSV)), 1)
         ks = ks_model(sample, ModelParams(mle["r"], mle["lambda"], mle["gamma"])).ks_distance
         assert mle["ks_distance"] == ks
         assert main(["gof-sweep", "--input", SEED42_CSV, "--method", "all", *r, "--h-range", "1:1",

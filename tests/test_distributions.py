@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wetmax import (
-    CensoringSpec,
     GammaParams,
     GGParams,
     MaximaSample,
@@ -17,6 +16,7 @@ from wetmax import (
     NegBinParams,
     PrecipSeries,
     QuantileTriple,
+    build_maxima,
     fit_least_squares,
     fit_quantile,
     gamma_pdf,
@@ -127,7 +127,7 @@ SCALAR_CHECKS = {
     "QuantileTriple.p2": (lambda v: QuantileTriple(0.25, v, 0.75), 0.25),
     "QuantileTriple.from_tau": (lambda v: QuantileTriple.from_tau(v), 0.25),
     "segment.wet_threshold": (lambda v: segment(PrecipSeries(np.ones(3)), wet_threshold=v), -0.5),
-    "CensoringSpec.h": (lambda v: CensoringSpec(v), 0.0),
+    "build_maxima.h": (lambda v: build_maxima(segment(PrecipSeries(np.ones(3))), v), 0.0),
 }
 
 

@@ -16,7 +16,6 @@ from wetmax import (
     limit_cdf,
     limit_quantile,
     make_rng,
-    plot_columns,
     sample_limit,
     tail_index,
 )
@@ -36,7 +35,7 @@ def _report(sample, params):
 
 
 def _empirical_column(sample, grid):
-    text = emit_plot_data(sample, _report(sample, ModelParams(1, 1, 1)), grid)
+    (text,) = emit_plot_data(sample, [_report(sample, ModelParams(1, 1, 1))], grid)
     return [line.split("\t")[1] for line in text.splitlines()[1:]]
 
 
@@ -197,7 +196,7 @@ class TestEmitPlotData:
     def test_three_rows_on_two_point_sample(self):
         p = ModelParams(1, 1, 1)
         sample = MaximaSample(np.array([1.0, 2.0]))
-        text = emit_plot_data(sample, _report(sample, p), [0.0, 1.5, 3.0])
+        (text,) = emit_plot_data(sample, [_report(sample, p)], [0.0, 1.5, 3.0])
         lines = text.strip().split("\n")
         assert lines[0] == "# ks=0.25 m=2 r=1 lambda=1 gamma=1"
         assert len(lines) == 4
@@ -209,7 +208,7 @@ class TestEmitPlotData:
         p = ModelParams(0.85, 1.5, 1.2)
         sample = MaximaSample(np.array([1.0, 2.0]))
         report = FitReport(p, "mle", 0.123456789012345, 7)
-        header = emit_plot_data(sample, report, [1.0]).splitlines()[0]
+        header = emit_plot_data(sample, [report], [1.0])[0].splitlines()[0]
         assert header == "# ks=0.123456789012 m=7 r=0.85 lambda=1.5 gamma=1.2"
 
     def test_bare_mle_report_is_measured(self):
@@ -220,7 +219,7 @@ class TestEmitPlotData:
         assert bare.ks_distance is None
         measured = dataclasses.replace(bare, ks_distance=ks_model(sample, bare.params).ks_distance)
         grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 21)
-        text, expected = emit_plot_data(sample, bare, grid), emit_plot_data(sample, measured, grid)
+        (text,), (expected,) = emit_plot_data(sample, [bare], grid), emit_plot_data(sample, [measured], grid)
         assert text.splitlines()[0] == expected.splitlines()[0]
         assert text.splitlines()[0].startswith(f"# ks={measured.ks_distance:.12g} m=300 ")
         assert text == expected
@@ -228,30 +227,33 @@ class TestEmitPlotData:
     def test_model_column_at_zero(self):
         p = ModelParams(0.85, 1.5, 1.2)
         sample = MaximaSample(np.array([1.0, 2.0]))
-        text = emit_plot_data(sample, _report(sample, p), [0.0])
+        (text,) = emit_plot_data(sample, [_report(sample, p)], [0.0])
         x, empirical, model = text.strip().split("\n")[1].split("\t")
         assert float(model) == 0.0
         assert float(empirical) == 0.0
 
     def test_shared_columns_give_each_fit_its_own_table(self):
-        # gof-sweep formats the x and empirical d.f. columns once per threshold, for every method's table
+        # gof-sweep hands every fit of one threshold to one call, which formats the x and empirical d.f. once
         truth = ModelParams(0.85, 1.5, 1.2)
         sample = MaximaSample(sample_limit(truth, Representation.DIRECT, make_rng(307), size=300))
         grid = np.linspace(0.0, 1.05 * float(sample.sorted_values[-1]), 201)
-        columns = plot_columns(sample, grid)
-        for p in (truth, ModelParams(2.5, 0.7, 1.4), ModelParams(0.4, 1.3, 0.6)):
-            report = FitReport(p, "ls", ks_model(sample, p).ks_distance, sample.m)
-            text = emit_plot_data(sample, report, columns)
-            assert text == emit_plot_data(sample, report, grid) == plot_data_per_value(sample, report, grid)
-        bare = fit_mle(sample, truth)  # a report without a distance is measured with shared columns too
-        assert emit_plot_data(sample, bare, columns) == emit_plot_data(sample, bare, grid)
+        reports = [FitReport(p, "ls", ks_model(sample, p).ks_distance, sample.m)
+                   for p in (truth, ModelParams(2.5, 0.7, 1.4), ModelParams(0.4, 1.3, 0.6))]
+        bare = fit_mle(sample, truth)  # a report without a distance is measured among the others too
+        assert bare.ks_distance is None
+        measured = dataclasses.replace(bare, ks_distance=ks_model(sample, bare.params).ks_distance)
+        tables = emit_plot_data(sample, [*reports, bare], grid)
+        assert len(tables) == 4
+        for report, text in zip([*reports, measured], tables):
+            assert text == emit_plot_data(sample, [report], grid)[0] == plot_data_per_value(sample, report, grid)
 
     def test_empty_grid_rejected(self):
         sample = MaximaSample(np.array([1.0]))
         with pytest.raises(ValueError):
-            emit_plot_data(sample, _report(sample, ModelParams(1, 1, 1)), [])
+            emit_plot_data(sample, [_report(sample, ModelParams(1, 1, 1))], [])
         with pytest.raises(ValueError):
-            plot_columns(sample, [])
+            emit_plot_data(sample, [], [])
+        assert emit_plot_data(sample, [], [1.0]) == []
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -270,5 +272,5 @@ class TestEmitPlotData:
         grid = np.array([0.0, *(2.0 * top * u for u in inner), 1.05 * top])
         report = FitReport(ModelParams(r, lam, gamma), "ls", ks, sample.m)
         expected = plot_data_per_value(sample, report, grid)
-        assert emit_plot_data(sample, report, grid) == expected
-        assert emit_plot_data(sample, report, plot_columns(sample, grid)) == expected
+        assert emit_plot_data(sample, [report], grid) == [expected]
+        assert emit_plot_data(sample, [report, report], grid) == [expected, expected]

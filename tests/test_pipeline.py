@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import parse_csv_lines, segment_loop
 from wetmax import (
-    CensoringSpec,
     CsvFormatError,
     EmptySampleError,
     PrecipSeries,
     build_maxima,
-    durations,
     ingest_csv,
     segment,
 )
@@ -42,7 +40,7 @@ class TestSegment:
     def test_leading_and_trailing_runs(self):
         wp = segment(series(5, 0, 0, 7, 8, 9))
         assert [list(p) for p in wp.periods] == [[5.0], [7.0, 8.0, 9.0]]
-        assert durations(wp) == [1, 3]
+        assert wp.lengths == [1, 3]
 
     def test_threshold(self):
         wp = segment(series(0.1, 0.2, 1.0, 0.1, 2.0), wet_threshold=0.5)
@@ -84,20 +82,21 @@ class TestSegment:
 class TestBuildMaxima:
     def test_h_one(self):
         wp = segment(series(0, 1, 2, 0, 3, 0))
-        assert build_maxima(wp, CensoringSpec(1)).values.tolist() == [2.0, 3.0]
+        assert build_maxima(wp, 1).values.tolist() == [2.0, 3.0]
 
     def test_h_two(self):
         wp = segment(series(0, 1, 2, 0, 3, 0))
-        assert build_maxima(wp, CensoringSpec(2)).values.tolist() == [2.0]
+        assert build_maxima(wp, 2).values.tolist() == [2.0]
 
     def test_h_three_empty(self):
         wp = segment(series(0, 1, 2, 0, 3, 0))
         with pytest.raises(EmptySampleError, match="length >= 3.*longest available: 2"):
-            build_maxima(wp, CensoringSpec(3))
+            build_maxima(wp, 3)
 
-    def test_accepts_plain_int(self):
+    def test_accepts_whole_number_of_any_type(self):
         wp = segment(series(0, 1, 2, 0, 3, 0))
-        assert build_maxima(wp, 2).values.tolist() == [2.0]
+        for h in (2.0, np.int64(2), np.float64(2.0)):
+            assert build_maxima(wp, h).values.tolist() == [2.0]
 
     def test_monotone_in_h(self):
         rng = np.random.default_rng(2)
@@ -120,18 +119,21 @@ class TestBuildMaxima:
         for value, period in zip(maxima.values, wp.periods):
             assert value == max(period)
 
-    def test_censoring_spec_validation(self):
-        with pytest.raises(ValueError):
-            CensoringSpec(0)
-        with pytest.raises(ValueError):
-            CensoringSpec(1.5)
+    def test_h_validation(self):
+        wp = segment(series(0, 1, 2, 0, 3, 0))
+        with pytest.raises(ValueError, match=r"^h must lie in \[1, inf\), got 0\.0$"):
+            build_maxima(wp, 0)
+        with pytest.raises(ValueError, match=r"^h must be a whole number, got 1\.5$"):
+            build_maxima(wp, 1.5)
+        with pytest.raises(ValueError, match=r"^h must lie in \[1, inf\), got nan$"):
+            build_maxima(wp, float("nan"))
 
 
 class TestDurations:
     def test_examples(self):
-        assert durations(segment(series(0, 1, 2, 0, 3, 0))) == [2, 1]
-        assert durations(segment(series(0.0, 0.0))) == []
-        assert durations(segment(series(5, 0, 0, 7, 8, 9))) == [1, 3]
+        assert segment(series(0, 1, 2, 0, 3, 0)).lengths == [2, 1]
+        assert segment(series(0.0, 0.0)).lengths == []
+        assert segment(series(5, 0, 0, 7, 8, 9)).lengths == [1, 3]
 
 
 class TestIngestCsv:
@@ -350,7 +352,7 @@ class TestWetPeriodsJson:
     def test_shape(self):
         wp = segment(series(0, 1, 2, 0, 3, 0))
         doc = wp.to_json_dict()
-        assert doc == {"periods": [[1.0, 2.0], [3.0]], "lengths": [2, 1]}
+        assert doc == {"periods": [[1.0, 2.0], [3.0]], "lengths": [2, 1], "warnings": []}
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ class TestSegmentProperties:
         assert wp.lengths == [len(p) for p in periods]
         assert wp.maxima.tolist() == [max(p) for p in periods]
         assert wp.warnings == warnings
-        assert wp.to_json_dict() == {"periods": periods, "lengths": wp.lengths}
+        assert wp.to_json_dict() == {"periods": periods, "lengths": wp.lengths, "warnings": warnings}
 
     @settings(deadline=None)
     @given(daily_series(), st.sampled_from([0.0, 0.5, 10.0]))
